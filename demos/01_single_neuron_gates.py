@@ -36,10 +36,12 @@ for name, params in (
     print(u)
     print("  matches fixed_gate:", np.allclose(u, fixed_gate(name), atol=1e-12))
 
-# Any four angles give a unitary; the wrap keeps them in [0, 2*pi].
+# Any angles give a unitary.  phi0..phi2 are wrapped into [0, 2*pi]; phi3
+# must already lie there, since U has period 8*pi in it.
 rng = np.random.default_rng(7)
 ok = all(
-    is_unitary(u2_from_params(GateParams(*rng.uniform(-9, 9, 4)))) for _ in range(500)
+    is_unitary(u2_from_params(GateParams(*rng.uniform(-9, 9, 3), rng.uniform(0, 2 * math.pi))))
+    for _ in range(500)
 )
 print("500 random parameter points are unitary:", ok)
 

@@ -66,6 +66,7 @@ from .environment import (
     QuadratureGrid,
     WavePacket,
     averaged_density,
+    averaged_ensemble,
     eigenfunction,
     energy,
     evaluate_packet,

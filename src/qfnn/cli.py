@@ -30,9 +30,8 @@ from .environment import (
     DEFAULT_GRID_POINTS,
     QuadratureGrid,
     WavePacket,
-    averaged_density,
+    averaged_ensemble,
     parse_packet,
-    purity,
 )
 from .errors import ParseError
 from .gates import GateParams, fixed_gate
@@ -44,7 +43,7 @@ from .network import (
     run_history,
     verify_truth_table,
 )
-from .qstate import von_neumann_entropy
+from .qstate import _entropy_bits
 
 SCENARIOS = (
     "table1",
@@ -362,11 +361,12 @@ def run_command(cfg: RunConfig) -> int:
         ]
         rows = []
         for t in cfg.times:
-            rho = averaged_density(net, packets, t=t, grid=grid, input_neurons=inputs)
+            # The weights are the spectrum, so no 4^N matrix is needed.
+            w, states = averaged_ensemble(net, packets, t=t, grid=grid, input_neurons=inputs)
+            probs = np.clip(w @ np.abs(states) ** 2, 0.0, None)
             rows.append(
-                [f"{t:.12g}", f"{np.trace(rho.entries).real:.12g}",
-                 f"{purity(rho):.12g}", f"{von_neumann_entropy(rho):.12g}"]
-                + [f"{p:.12g}" for p in rho.probabilities()]
+                [f"{t:.12g}", f"{w.sum():.12g}", f"{w @ w:.12g}", f"{_entropy_bits(w):.12g}"]
+                + [f"{p:.12g}" for p in probs]
             )
         _emit(_csv_rows(header, rows), cfg.out_path)
         return 0
@@ -387,11 +387,10 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--phi",
                 action="append",
-                type=parse_phi,
                 default=None,
                 metavar="A,B,C,D",
-                help="input angles in radians; 'pi' tokens work, e.g. 0,0,0,0.5pi; "
-                "repeat the flag for several input neurons",
+                help="input angles in radians, phi3 in [0, 2pi]; 'pi' tokens work, e.g. "
+                "0,0,0,0.5pi; repeat the flag for several input neurons",
             )
         if seed:
             p.add_argument("--seed", type=int, default=analysis.DEFAULT_SEED)
@@ -444,7 +443,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         net_path=getattr(args, "net", None),
         fn_path=getattr(args, "fn", None),
         packet_paths=tuple(getattr(args, "packet", None) or ()),
-        phis=tuple(getattr(args, "phi", None) or ()),
+        phis=tuple(parse_phi(p) for p in getattr(args, "phi", None) or ()),
         seed=getattr(args, "seed", analysis.DEFAULT_SEED),
         samples=getattr(args, "samples", 100),
         grid_points=getattr(args, "grid", DEFAULT_GRID_POINTS),

@@ -23,8 +23,8 @@ import numpy as np
 from .boolfn import compile_synaptic, synaptic_permutation
 from .errors import ParseError
 from .gates import GateParams
-from .network import BooleanStep, NetworkSpec, Step, UnitaryStep
-from .qstate import DensityMatrix
+from .network import BooleanStep, NetworkSpec, Step
+from .qstate import _EIG_FLOOR, DensityMatrix, _apply_matrix
 
 ModeIndex = tuple[int, int, int, int]
 
@@ -250,51 +250,39 @@ def _averaged_qubit_density(packet: WavePacket, grid: QuadratureGrid, t: float) 
     return np.array([[r00, r01], [np.conj(r01), r11]], dtype=np.complex128)
 
 
-def _conjugate_single(rho: np.ndarray, u: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
-    """rho -> U rho U^dagger with U acting on one qubit of the register."""
-    dim = rho.shape[0]
-    left = 1 << (qubit - 1)
-    right = 1 << (n_qubits - qubit)
-    t = rho.reshape(left, 2, right, dim)
-    t = np.einsum("ab,lbrj->larj", u, t)
-    t = t.reshape(dim, left, 2, right)
-    t = np.einsum("ab,ilbr->ilar", u.conj(), t)
-    return t.reshape(dim, dim)
+def _evolve(states: np.ndarray, steps: Sequence[Step], n_qubits: int) -> np.ndarray:
+    """Push a (K, 2^N) batch of amplitude rows through the network steps."""
+    for step in steps:
+        if isinstance(step, BooleanStep):
+            perm = synaptic_permutation(
+                compile_synaptic(step.function), step.controls, step.targets, n_qubits
+            )
+            out = np.empty_like(states)
+            out[:, perm] = states
+            states = out
+        else:
+            for gate, target in zip(step.gates, step.targets):
+                states = _apply_matrix(states, n_qubits, gate, target)
+    return states
 
 
-def _conjugate_step(rho: np.ndarray, step: Step, n_qubits: int) -> np.ndarray:
-    if isinstance(step, BooleanStep):
-        perm = synaptic_permutation(
-            compile_synaptic(step.function), step.controls, step.targets, n_qubits
-        )
-        out = np.empty_like(rho)
-        out[np.ix_(perm, perm)] = rho
-        return out
-    if isinstance(step, UnitaryStep):
-        for gate, target in zip(step.gates, step.targets):
-            rho = _conjugate_single(rho, gate, target, n_qubits)
-        return rho
-    raise ValueError(f"unknown step type {type(step).__name__}")
-
-
-def averaged_density(
+def averaged_ensemble(
     net: NetworkSpec,
     packets: Sequence[WavePacket],
     t: float = 0.0,
     grid: QuadratureGrid | None = None,
     input_neurons: Sequence[int] | None = None,
-) -> DensityMatrix:
-    """Network output averaged over the environment's angle distribution.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Network output averaged over the environment, as (weights, states).
 
-    Each input neuron is driven by its own packet; non-input neurons start
-    quiescent.  Because the packets factor over independent angle blocks and
-    the synaptic steps do not depend on the angles, the average of the output
-    projector is the step-conjugated tensor product of per-neuron quadrature
-    averages; that is what this computes.  The result is renormalized to unit
-    trace, absorbing the finite-grid mass of |Psi|^2.
-
-    ``input_neurons`` defaults to neurons 1..len(packets), the first-layer
-    convention.
+    The averaged state is sum_k weights[k] |states[k]><states[k]|, with
+    ``states`` of shape (K, 2^N), K <= 2^len(packets).  Packets drive their
+    input neurons (default 1..len(packets)); other neurons start quiescent.
+    As packets factor over angle blocks and steps ignore the angles, the
+    average is U (x)_q rho_q U^dagger, rho_q being the per-neuron quadrature
+    average at unit trace.  U is unitary, so the rho_q eigenvectors pushed
+    through the steps are its eigenstates and the products of their
+    eigenvalues its spectrum; no 4^N matrix is formed.
     """
     if grid is None:
         grid = QuadratureGrid()
@@ -320,20 +308,42 @@ def averaged_density(
     for q in inputs:
         if not 1 <= q <= n:
             raise ValueError(f"input neuron {q} out of range 1..{n}")
-    single = {
-        q: _averaged_qubit_density(p, grid, float(t))
-        for q, p in zip(inputs, packets)
-    }
-    ground = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=np.complex128)
-    rho = np.ones((1, 1), dtype=np.complex128)
+    driven = dict(zip(inputs, packets))
+    weights = np.ones(1)
+    states = np.ones((1, 1), dtype=np.complex128)
     for q in range(1, n + 1):
-        rho = np.kron(rho, single.get(q, ground))
-    for step in net.steps:
-        rho = _conjugate_step(rho, step, n)
-    trace = float(np.trace(rho).real)
-    if trace <= 0.0:
-        raise ValueError("averaged state has non-positive quadrature mass")
-    return DensityMatrix(n, rho / trace)
+        if q not in driven:
+            states = np.kron(states, [[1.0, 0.0]])
+            continue
+        rho = _averaged_qubit_density(driven[q], grid, float(t))
+        trace = float(rho.trace().real)
+        if not (math.isfinite(trace) and trace > 0.0):
+            raise ValueError("averaged state has no finite, positive quadrature mass")
+        eigs, vecs = np.linalg.eigh(rho / trace)
+        if not eigs[0] >= _EIG_FLOOR:
+            raise ValueError(
+                f"averaged input density of neuron {q} has eigenvalue {eigs[0]:g}"
+            )
+        weights = np.kron(weights, eigs)
+        states = np.kron(states, vecs.T)
+    keep = weights != 0.0
+    states = _evolve(states[keep], net.steps, n)
+    norm_dev = float(np.max(np.abs((np.abs(states) ** 2).sum(axis=1) - 1.0)))
+    if not norm_dev <= _NORM_ATOL:
+        raise ValueError(f"ensemble state norms drifted by {norm_dev:g}")
+    return weights[keep], states
+
+
+def averaged_density(
+    net: NetworkSpec,
+    packets: Sequence[WavePacket],
+    t: float = 0.0,
+    grid: QuadratureGrid | None = None,
+    input_neurons: Sequence[int] | None = None,
+) -> DensityMatrix:
+    """Dense (4^N-entry) form of ``averaged_ensemble``, same arguments."""
+    weights, states = averaged_ensemble(net, packets, t, grid, input_neurons)
+    return DensityMatrix(net.n_neurons, (states.T * weights) @ states.conj())
 
 
 def purity(rho) -> float:

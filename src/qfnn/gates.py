@@ -18,12 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import StateVector, _apply_matrix, _bit_shift
+from .qstate import _HADAMARD, StateVector, _apply_matrix, _bit_shift
 
 TWO_PI = 2.0 * math.pi
 
 
-def _wrap_angle(value: float) -> float:
+def _wrap_angle(name: str, value: float) -> float:
     value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"gate angle must be finite, got {value!r}")
@@ -31,6 +31,9 @@ def _wrap_angle(value: float) -> float:
     # meaningful endpoint (cos(2pi/4) = 0) and must not collapse to 0.
     if 0.0 <= value <= TWO_PI:
         return value
+    if name == "phi3":
+        # U has period 8pi in phi3, so no wrap preserves the gate.
+        raise ValueError(f"phi3 must lie in [0, 2pi], got {value!r}")
     return value % TWO_PI
 
 
@@ -40,7 +43,8 @@ class GateParams:
 
     phi0 is a global phase, phi1 and phi2 set the relative phases of the
     matrix entries, and phi3 enters only through the quarter angle phi3/4.
-    Values outside [0, 2pi] are wrapped at construction; 2pi itself is kept.
+    phi0..phi2 outside [0, 2pi] are wrapped at construction and 2pi itself is
+    kept; phi3 outside [0, 2pi] is rejected with ``ValueError``.
     """
 
     phi0: float
@@ -50,7 +54,7 @@ class GateParams:
 
     def __post_init__(self):
         for name in ("phi0", "phi1", "phi2", "phi3"):
-            object.__setattr__(self, name, _wrap_angle(getattr(self, name)))
+            object.__setattr__(self, name, _wrap_angle(name, getattr(self, name)))
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.phi0, self.phi1, self.phi2, self.phi3)
@@ -63,8 +67,8 @@ HADAMARD_PARAMS = GateParams(math.pi / 2, 3 * math.pi / 2, 3 * math.pi / 2, math
 
 IDENTITY = np.eye(2, dtype=np.complex128)
 NOT = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / math.sqrt(2.0)
-for _g in (IDENTITY, NOT, HADAMARD):
+HADAMARD = _HADAMARD
+for _g in (IDENTITY, NOT):
     _g.setflags(write=False)
 
 _FIXED = {"identity": IDENTITY, "not": NOT, "hadamard": HADAMARD}

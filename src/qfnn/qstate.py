@@ -209,11 +209,10 @@ def reduced_density(state: StateVector, keep: Iterable[int]) -> DensityMatrix:
 
 
 def _apply_matrix(amps: np.ndarray, n_qubits: int, u: np.ndarray, qubit: int) -> np.ndarray:
-    """Apply a 2x2 matrix to one qubit of a raw amplitude array (no checks)."""
-    left = 1 << (qubit - 1)
+    """Apply a 2x2 matrix to one qubit of raw amplitudes, (2**n,) or (K, 2**n)."""
     right = 1 << (n_qubits - qubit)
-    t = amps.reshape(left, 2, right)
-    return np.einsum("ab,lbr->lar", u, t).reshape(amps.size)
+    t = amps.reshape(-1, 2, right)
+    return np.einsum("ab,lbr->lar", u, t).reshape(amps.shape)
 
 
 def measure_probabilities(
@@ -256,6 +255,11 @@ def von_neumann_entropy(rho) -> float:
             raise ValueError(f"expected a square matrix, got shape {mat.shape}")
         if float(np.max(np.abs(mat - mat.conj().T))) > _HERM_ATOL:
             raise ValueError("entropy needs a Hermitian matrix")
-    eigs = np.clip(np.linalg.eigvalsh(mat), 0.0, 1.0)
-    nz = eigs[eigs > 0.0]
+    return _entropy_bits(np.linalg.eigvalsh(mat))
+
+
+def _entropy_bits(spectrum: np.ndarray) -> float:
+    """-sum(p log2 p) of a spectrum clamped to [0, 1]; exact zeros add nothing."""
+    p = np.clip(spectrum, 0.0, 1.0)
+    nz = p[p > 0.0]
     return float(-(nz * np.log2(nz)).sum())

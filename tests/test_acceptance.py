@@ -349,7 +349,9 @@ def test_gate_unitarity_and_permutations():
     rng = np.random.default_rng(808)
     eye2 = np.eye(2)
     for _ in range(1000):
-        u = u2_from_params(GateParams(*rng.uniform(-10.0, 10.0, size=4)))
+        u = u2_from_params(
+            GateParams(*rng.uniform(-10.0, 10.0, size=3), rng.uniform(0.0, TWO_PI))
+        )
         dev = float(np.max(np.abs(u.conj().T @ u - eye2)))
         if dev >= 1e-12:
             failures.append(f"U+U deviation {dev:.3e}")

@@ -193,6 +193,14 @@ class TestRunCommand:
         assert code == 2
         assert "error:" in err
 
+    def test_phi3_out_of_range_exits_two(self, tmp_path, capsys):
+        net = tmp_path / "mirror.net"
+        net.write_text(MIRROR_NET, encoding="utf-8")
+        code = main(["run", "--net", str(net), "--phi", "0,0,0,3pi"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "phi3 must lie in [0, 2pi]" in err
+
     def test_missing_net_file(self, capsys):
         code = main(["run", "--net", "no-such-file.net", "--phi", "0,0,0,0"])
         err = capsys.readouterr().err

@@ -252,6 +252,50 @@ class TestAveragedDensity:
             fine = averaged_density(net, [packet], t=0.9, grid=QuadratureGrid(16))
             assert float(np.max(np.abs(coarse.entries - fine.entries))) < 1e-6
 
+    def test_grid_error_falls_as_inverse_square_when_modes_differ_in_n3(self):
+        """The midpoint grid is exact only if all modes share n3; else O(P^-2).
+
+        The closed form factors into axis integrals: 2 pi delta(d) on axes
+        0-2, and on axis 3 cos^2(x/4) = 1/2 + (e^{ix/2} + e^{-ix/2})/4 and
+        cos(x/4) sin(x/4) = (e^{ix/2} - e^{-ix/2})/(4i), with
+        int_0^{2pi} e^{iwx} dx = 2i/w for half-integer w.
+        """
+
+        def axis(w):
+            if w == 0:
+                return 2.0 * math.pi
+            return 0.0 if float(w).is_integer() else 2j / w
+
+        packet = WavePacket({(0, 0, 0, 0): 0.6, (0, 0, 0, 1): 0.8j})
+        t = 0.3
+        coeffs = packet.evolved_coefficients(t) / FOUR_PI_SQ
+        exact = np.zeros((2, 2), dtype=complex)
+        for a, ma in zip(coeffs, packet.modes):
+            for b, mb in zip(coeffs, packet.modes):
+                d0, d1, d2, d3 = np.subtract(ma, mb)
+                w = a * np.conj(b)
+                half = (axis(d3 + 0.5) + axis(d3 - 0.5)) / 4.0
+                flat = axis(d0) * axis(d1) * axis(d2)
+                exact[0, 0] += w * flat * (axis(d3) / 2.0 + half)
+                exact[1, 1] += w * flat * (axis(d3) / 2.0 - half)
+                exact[0, 1] -= (
+                    w * axis(d0) * axis(d1 + 1) * axis(d2 + 1)
+                    * (axis(d3 + 0.5) - axis(d3 - 0.5)) / 4j
+                )
+        exact[1, 0] = np.conj(exact[0, 1])
+        assert exact.trace().real == pytest.approx(1.0, abs=1e-12)
+        single = NetworkSpec((1,), ())
+        errors = [
+            float(np.max(np.abs(
+                averaged_density(single, [packet], t=t, grid=QuadratureGrid(p)).entries
+                - exact
+            )))
+            for p in (8, 16, 32)
+        ]
+        assert 2e-3 < errors[0] < 6e-3  # 3.9e-3 at P=8: not exact
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 3.5 < coarse / fine < 4.5
+
     def test_input_neurons_parameter(self):
         """Feeding neuron 2 and copying onto neuron 1 mirrors the usual layout."""
         reversed_net = NetworkSpec((1, 1), (BooleanStep(MIRROR, (2,), (1,)),))
@@ -276,6 +320,8 @@ class TestAveragedDensity:
             averaged_density(net, [uniform], grid=16)
         with pytest.raises(ValueError, match="out of range"):
             averaged_density(net, [uniform], input_neurons=(9,))
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="quadrature mass"):
+            averaged_density(net, [uniform], t=math.inf)
 
 
 class TestPurity:

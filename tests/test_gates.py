@@ -39,6 +39,20 @@ class TestGateParams:
         assert GateParams(0.0, 0.0, 0.0, TWO_PI).phi3 == TWO_PI
         assert GateParams(0.0, 0.0, 0.0, 0.0).phi3 == 0.0
 
+    @pytest.mark.parametrize(
+        "phi3",
+        [-1e-17, 3.0 * np.pi],
+        ids=["hair-below-zero-would-wrap-to-2pi", "3pi-would-run-as-pi"],
+    )
+    def test_rejects_phi3_outside_closed_interval(self, phi3):
+        """U has period 8pi in phi3, so wrapping it mod 2pi changes the gate."""
+        with pytest.raises(ValueError, match=r"phi3 must lie in \[0, 2pi\]"):
+            GateParams(0.0, 0.0, 0.0, phi3)
+
+    def test_phases_a_hair_below_zero_wrap_continuously(self):
+        p = GateParams(-1e-17, -1e-17, -1e-17, 0.0)
+        np.testing.assert_allclose(u2_from_params(p), IDENTITY, atol=1e-15)
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
             GateParams(np.inf, 0.0, 0.0, 0.0)
