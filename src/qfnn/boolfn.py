@@ -162,6 +162,32 @@ def validate_wiring(
     return controls, targets
 
 
+def _flip_table(
+    masks: Sequence[int], controls: Sequence[int], targets: Sequence[int], n_qubits: int
+) -> np.ndarray:
+    """XOR flips of the basis index, as 2^m entries broadcast over a [2]*n_qubits grid.
+
+    The flips depend on the control bits alone, so the table has size 2 on
+    the control axes and size 1 on every other axis.
+    """
+    m, n = len(controls), len(targets)
+    masks = np.asarray(masks, dtype=np.int64)
+    flips = np.zeros(2**m, dtype=np.int64)
+    for l, q in enumerate(targets):
+        flips |= ((masks >> (n - 1 - l)) & 1) << (n_qubits - q)
+    shape = [1] * n_qubits
+    for q in controls:
+        shape[q - 1] = 2
+    return flips.reshape([2] * m).transpose(np.argsort(controls)).reshape(shape)
+
+
+def _xor_permutation(flips: np.ndarray, n_qubits: int) -> np.ndarray:
+    """Basis-index image array ``k ^ flips(k)``; it is its own inverse."""
+    idx = np.arange(2**n_qubits, dtype=np.int64).reshape([2] * n_qubits)
+    idx ^= flips
+    return idx.reshape(-1)
+
+
 def synaptic_permutation(
     gate: SynapticGate,
     controls: Sequence[int],
@@ -174,15 +200,7 @@ def synaptic_permutation(
     and targets are 1-based neuron indices and must be disjoint.
     """
     controls, targets = validate_wiring(n_qubits, controls, targets, gate.m, gate.n)
-    idx = np.arange(2**n_qubits, dtype=np.int64)
-    s = np.zeros_like(idx)
-    for j, q in enumerate(controls):
-        s |= ((idx >> (n_qubits - q)) & 1) << (gate.m - 1 - j)
-    masks = np.asarray(gate.flip_masks, dtype=np.int64)[s]
-    flips = np.zeros_like(idx)
-    for l, q in enumerate(targets):
-        flips |= ((masks >> (gate.n - 1 - l)) & 1) << (n_qubits - q)
-    return idx ^ flips
+    return _xor_permutation(_flip_table(gate.flip_masks, controls, targets, n_qubits), n_qubits)
 
 
 def apply_synaptic(
@@ -193,9 +211,7 @@ def apply_synaptic(
 ) -> StateVector:
     """Apply a synaptic gate to a register: |s>|t> -> |s>|t XOR g(s)>."""
     perm = synaptic_permutation(gate, controls, targets, state.n_qubits)
-    new_amps = np.empty_like(state.amps)
-    new_amps[perm] = state.amps
-    return StateVector(state.n_qubits, new_amps)
+    return StateVector(state.n_qubits, state.amps[perm])
 
 
 def parse_truth_table(text: str) -> BooleanFunction:

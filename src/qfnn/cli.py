@@ -39,6 +39,7 @@ from .network import (
     BooleanStep,
     NetworkSpec,
     UnitaryStep,
+    _checked_inputs,
     branch_amplitudes,
     run_history,
     verify_truth_table,
@@ -213,18 +214,13 @@ def parse_network_config(text: str) -> tuple[NetworkSpec, tuple[int, ...]]:
     flush()
     if layers is None:
         raise ParseError("config is missing 'layers'")
+    if inputs is None:
+        inputs = tuple(range(1, layers[0] + 1))
     try:
         net = NetworkSpec(layers, tuple(steps))
+        return net, _checked_inputs(inputs, net.n_neurons)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
-    if inputs is None:
-        inputs = tuple(range(1, net.layers[0] + 1))
-    for q in inputs:
-        if not 1 <= q <= net.n_neurons:
-            raise ParseError(f"input neuron {q} out of range 1..{net.n_neurons}")
-    if len(set(inputs)) != len(inputs):
-        raise ParseError(f"duplicate input neurons: {list(inputs)}")
-    return net, inputs
 
 
 @dataclass
@@ -460,4 +456,7 @@ def main(argv=None) -> int:
         return run_command(_config_from_args(args))
     except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or args.command}", file=sys.stderr)
         return 2

@@ -20,11 +20,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .boolfn import compile_synaptic, synaptic_permutation
 from .errors import ParseError
 from .gates import GateParams
-from .network import BooleanStep, NetworkSpec, Step
-from .qstate import _EIG_FLOOR, DensityMatrix, _apply_matrix
+from .network import NetworkSpec, _checked_inputs, _run_steps
+from .qstate import _EIG_FLOOR, DensityMatrix
 
 ModeIndex = tuple[int, int, int, int]
 
@@ -250,22 +249,6 @@ def _averaged_qubit_density(packet: WavePacket, grid: QuadratureGrid, t: float) 
     return np.array([[r00, r01], [np.conj(r01), r11]], dtype=np.complex128)
 
 
-def _evolve(states: np.ndarray, steps: Sequence[Step], n_qubits: int) -> np.ndarray:
-    """Push a (K, 2^N) batch of amplitude rows through the network steps."""
-    for step in steps:
-        if isinstance(step, BooleanStep):
-            perm = synaptic_permutation(
-                compile_synaptic(step.function), step.controls, step.targets, n_qubits
-            )
-            out = np.empty_like(states)
-            out[:, perm] = states
-            states = out
-        else:
-            for gate, target in zip(step.gates, step.targets):
-                states = _apply_matrix(states, n_qubits, gate, target)
-    return states
-
-
 def averaged_ensemble(
     net: NetworkSpec,
     packets: Sequence[WavePacket],
@@ -295,19 +278,12 @@ def averaged_ensemble(
         if not isinstance(p, WavePacket):
             raise ValueError(f"packets must be WavePacket instances, got {type(p).__name__}")
     n = net.n_neurons
-    if input_neurons is None:
-        inputs = tuple(range(1, len(packets) + 1))
-    else:
-        inputs = tuple(int(q) for q in input_neurons)
+    inputs = tuple(range(1, len(packets) + 1) if input_neurons is None else input_neurons)
     if len(packets) != len(inputs):
         raise ValueError(
             f"{len(packets)} packets for {len(inputs)} input neurons; counts must match"
         )
-    if len(set(inputs)) != len(inputs):
-        raise ValueError(f"duplicate input neurons: {list(inputs)}")
-    for q in inputs:
-        if not 1 <= q <= n:
-            raise ValueError(f"input neuron {q} out of range 1..{n}")
+    inputs = _checked_inputs(inputs, n)
     driven = dict(zip(inputs, packets))
     weights = np.ones(1)
     states = np.ones((1, 1), dtype=np.complex128)
@@ -327,7 +303,7 @@ def averaged_ensemble(
         weights = np.kron(weights, eigs)
         states = np.kron(states, vecs.T)
     keep = weights != 0.0
-    states = _evolve(states[keep], net.steps, n)
+    states = _run_steps(states[keep], net)
     norm_dev = float(np.max(np.abs((np.abs(states) ** 2).sum(axis=1) - 1.0)))
     if not norm_dev <= _NORM_ATOL:
         raise ValueError(f"ensemble state norms drifted by {norm_dev:g}")

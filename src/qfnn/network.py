@@ -10,27 +10,24 @@ together in one state vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence, Union
 
 import numpy as np
 
-from .boolfn import (
-    BooleanFunction,
-    SynapticGate,
-    apply_synaptic,
-    compile_synaptic,
-    validate_wiring,
-)
+from .boolfn import BooleanFunction, _flip_table, _xor_permutation, validate_wiring
 from .gates import (
     GateParams,
     HADAMARD,
     IDENTITY_PARAMS,
     NOT_PARAMS,
-    apply_single,
     is_unitary,
     u2_from_params,
 )
-from .qstate import MAX_QUBITS, StateVector, basis_state
+from .qstate import MAX_QUBITS, StateVector
+
+_BLOCK_TARGETS = 6  # targets per kron block of a unitary step: blocks stay <= 64x64
+_BATCH_AMPS = 2**22  # amplitudes (64 MB) per batch of classical truth-table drives
 
 
 @dataclass(frozen=True)
@@ -96,6 +93,8 @@ class NetworkSpec:
 
     Neurons are numbered 1..N across layers in order, so a (1, 2, 1) network
     has input neuron 1, middle neurons 2 and 3, and output neuron 4.
+    Construction also compiles the plan every history runs: a 2^m-entry flip
+    table per boolean step, kron blocks of <= 6 gates per unitary step.
     """
 
     layers: tuple[int, ...]
@@ -111,32 +110,30 @@ class NetworkSpec:
                 f"network needs {total} neurons, exceeding the cap of {MAX_QUBITS}"
             )
         steps = tuple(self.steps)
+        plan = []
         for i, step in enumerate(steps, 1):
-            if isinstance(step, BooleanStep):
-                try:
-                    validate_wiring(
-                        total, step.controls, step.targets,
-                        step.function.m, step.function.n,
-                    )
-                except ValueError as exc:
-                    raise ValueError(f"step {i}: {exc}") from None
-            elif isinstance(step, UnitaryStep):
-                seen = set()
-                for q in step.targets:
-                    if not 1 <= q <= total:
-                        raise ValueError(
-                            f"step {i}: neuron index {q} out of range 1..{total}"
-                        )
-                    if q in seen:
-                        raise ValueError(f"step {i}: duplicate target {q}")
-                    seen.add(q)
-            else:
+            if not isinstance(step, (BooleanStep, UnitaryStep)):
                 raise ValueError(
                     f"step {i}: expected BooleanStep or UnitaryStep, "
                     f"got {type(step).__name__}"
                 )
+            controls = step.controls if isinstance(step, BooleanStep) else ()
+            try:
+                validate_wiring(total, controls, step.targets, len(controls), len(step.targets))
+            except ValueError as exc:
+                raise ValueError(f"step {i}: {exc}") from None
+            if isinstance(step, BooleanStep):
+                flips = _flip_table(step.function.outputs, controls, step.targets, total)
+                plan.append((None, flips))
+                continue
+            pairs = sorted(zip(step.targets, step.gates), key=lambda p: p[0])
+            for lo in range(0, len(pairs), _BLOCK_TARGETS):
+                chunk = pairs[lo : lo + _BLOCK_TARGETS]
+                block = reduce(np.kron, [g for _, g in chunk])
+                plan.append((tuple(q for q, _ in chunk), block.T.copy()))
         object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "_plan", tuple(plan))
 
     @property
     def n_neurons(self) -> int:
@@ -148,14 +145,50 @@ def input_layer(net: NetworkSpec) -> tuple[int, ...]:
     return tuple(range(1, net.layers[0] + 1))
 
 
-def _apply_step(state: StateVector, step: Step) -> StateVector:
-    if isinstance(step, BooleanStep):
-        return apply_synaptic(
-            state, compile_synaptic(step.function), step.controls, step.targets
-        )
-    for gate, target in zip(step.gates, step.targets):
-        state = apply_single(state, gate, target)
-    return state
+def _checked_inputs(input_neurons: Sequence[int], n_neurons: int) -> tuple[int, ...]:
+    """Input neuron indices as ints, checked distinct and in range 1..n_neurons."""
+    inputs = tuple(int(q) for q in input_neurons)
+    if len(set(inputs)) != len(inputs):
+        raise ValueError(f"duplicate input neurons: {list(inputs)}")
+    for q in inputs:
+        if not 1 <= q <= n_neurons:
+            raise ValueError(f"input neuron {q} out of range 1..{n_neurons}")
+    return inputs
+
+
+def _product_state(columns: np.ndarray, inputs: Sequence[int], n: int) -> np.ndarray:
+    """(K, 2^n) product states: ``columns[k, j]`` on neuron ``inputs[j]``, |0> elsewhere."""
+    rows, top = len(columns), max(inputs, default=0)
+    driven = dict(zip(inputs, columns.swapaxes(0, 1)))
+    head = np.ones((rows, 1), dtype=np.complex128)
+    for q in range(1, top + 1):
+        v = driven.get(q, np.array([[1.0, 0.0]]))
+        head = (head[:, :, None] * v[:, None, :]).reshape(rows, -1)
+    amps = np.zeros((rows, 2**n), dtype=np.complex128)  # neurons past ``top`` stay |0>
+    amps[:, :: 2 ** (n - top)] = head
+    return amps
+
+
+def _run_steps(amps: np.ndarray, net: NetworkSpec) -> np.ndarray:
+    """Push raw amplitudes, (2^N,) or (K, 2^N), through the compiled steps.
+
+    Every step is unitary by construction (exact permutations, kron blocks
+    of gates unitary to 1e-12), so callers check the result once, on exit.
+    """
+    n = net.n_neurons
+    for targets, table in net._plan:
+        if targets is None:
+            # XOR is an involution: the image array is also the gather index.
+            amps = amps[..., _xor_permutation(table, n)]
+            continue
+        k = len(targets)
+        last = range(n + 1 - k, n + 1)
+        # Axis q of the batch-led tensor is neuron q; on trailing targets
+        # neither move copies.
+        moved = np.moveaxis(amps.reshape((-1,) + (2,) * n), targets, last)
+        out = (moved.reshape(-1, 2**k) @ table).reshape(moved.shape)
+        amps = np.moveaxis(out, last, targets).reshape(amps.shape)
+    return amps
 
 
 def run_history(
@@ -169,23 +202,15 @@ def run_history(
     the steps then fire in order.
     """
     phis = list(phis)
-    inputs = [int(q) for q in input_neurons]
+    inputs = tuple(input_neurons)
     if len(phis) != len(inputs):
         raise ValueError(
             f"{len(phis)} angle tuples for {len(inputs)} input neurons; counts must match"
         )
-    if len(set(inputs)) != len(inputs):
-        raise ValueError(f"duplicate input neurons: {inputs}")
     n = net.n_neurons
-    for q in inputs:
-        if not 1 <= q <= n:
-            raise ValueError(f"input neuron {q} out of range 1..{n}")
-    state = basis_state(n, "0" * n)
-    for phi, q in zip(phis, inputs):
-        state = apply_single(state, u2_from_params(phi), q)
-    for step in net.steps:
-        state = _apply_step(state, step)
-    return state
+    inputs = _checked_inputs(inputs, n)
+    columns = np.array([[u2_from_params(phi)[:, 0] for phi in phis]]).reshape(1, -1, 2)
+    return StateVector(n, _run_steps(_product_state(columns, inputs, n)[0], net))
 
 
 def branch_amplitudes(
@@ -200,10 +225,11 @@ def branch_amplitudes(
     if threshold < 0.0:
         raise ValueError(f"threshold must be non-negative, got {threshold}")
     n = state.n_qubits
+    # hypot rounds as abs() does on one amplitude; np.abs on arrays can be an ulp off.
+    keep = np.flatnonzero(np.hypot(state.amps.real, state.amps.imag) > threshold)
     return [
-        (format(k, f"0{n}b"), complex(a))
-        for k, a in enumerate(state.amps)
-        if abs(a) > threshold
+        (format(k, f"0{n}b"), a)
+        for k, a in zip(keep.tolist(), state.amps[keep].tolist())
     ]
 
 
@@ -257,22 +283,24 @@ def verify_truth_table(
             f"network layers {list(net.layers)} do not match function arities "
             f"({g.m}, {g.n})"
         )
-    inputs = input_layer(net)
+    n = net.n_neurons
+    drives = np.array([u2_from_params(p)[:, 0] for p in (IDENTITY_PARAMS, NOT_PARAMS)])
+    columns = drives[(np.arange(2**g.m)[:, None] >> np.arange(g.m - 1, -1, -1)) & 1]
+    rows = max(1, _BATCH_AMPS >> n)
     cases = []
-    for s in range(2**g.m):
-        bits = format(s, f"0{g.m}b")
-        phis = [NOT_PARAMS if ch == "1" else IDENTITY_PARAMS for ch in bits]
-        state = run_history(net, phis, inputs)
-        expected = (s << g.n) | g.outputs[s]
-        prob = float(np.abs(state.amps[expected]) ** 2)
-        cases.append(
-            TruthCase(
-                input_bits=bits,
-                expected_bits=format(g.outputs[s], f"0{g.n}b"),
-                probability=prob,
-                passed=abs(prob - 1.0) <= tol,
+    for lo in range(0, 2**g.m, rows):
+        batch = _run_steps(_product_state(columns[lo : lo + rows], input_layer(net), n), net)
+        for s, amps in enumerate(batch, lo):
+            expected = (s << g.n) | g.outputs[s]
+            prob = float(np.abs(amps[expected]) ** 2)
+            cases.append(
+                TruthCase(
+                    input_bits=format(s, f"0{g.m}b"),
+                    expected_bits=format(g.outputs[s], f"0{g.n}b"),
+                    probability=prob,
+                    passed=abs(prob - 1.0) <= tol,
+                )
             )
-        )
     return TruthTableReport(cases=tuple(cases), tolerance=float(tol))
 
 

@@ -3,13 +3,14 @@
 import csv
 import io
 import math
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from qfnn import ParseError
+from qfnn import IDENTITY_PARAMS, ParseError, WavePacket, averaged_ensemble, run_history
 from qfnn.cli import (
     main,
     parse_angle,
@@ -129,6 +130,21 @@ class TestNetworkConfig:
         with pytest.raises(ParseError, match="out of range"):
             parse_network_config(text)
 
+    @pytest.mark.parametrize(
+        "inputs, message",
+        [("[1, 1]", "duplicate input neurons: [1, 1]"), ("[3]", "input neuron 3 out of range 1..2")],
+    )
+    def test_input_neuron_errors_match_the_library(self, inputs, message):
+        net, _ = parse_network_config(MIRROR_NET)
+        message = re.escape(message)
+        neurons = tuple(int(q) for q in inputs.strip("[]").split(","))
+        with pytest.raises(ParseError, match=message):
+            parse_network_config(MIRROR_NET.replace("inputs = [1]", f"inputs = {inputs}"))
+        with pytest.raises(ValueError, match=message):
+            run_history(net, [IDENTITY_PARAMS] * len(neurons), neurons)
+        with pytest.raises(ValueError, match=message):
+            averaged_ensemble(net, [WavePacket.uniform()] * len(neurons), input_neurons=neurons)
+
     def test_duplicate_step_key(self):
         text = "layers = [1, 1]\n\n[step]\nkind = boolean\nkind = boolean\n"
         with pytest.raises(ParseError, match="duplicate key"):
@@ -206,6 +222,23 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert "no-such-file.net" in err
+
+    @pytest.mark.parametrize(
+        "exc, reported",
+        [(MemoryError("Unable to allocate 256. MiB"), "Unable to allocate 256. MiB"), (MemoryError(), "run")],
+    )
+    def test_out_of_memory_exits_two_without_a_traceback(
+        self, tmp_path, capsys, monkeypatch, exc, reported
+    ):
+        def exhausted(*args):
+            raise exc
+
+        monkeypatch.setattr("qfnn.cli.run_history", exhausted)
+        net = tmp_path / "mirror.net"
+        net.write_text(MIRROR_NET, encoding="utf-8")
+        code = main(["run", "--net", str(net), "--phi", "0,0,0,pi"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: out of memory: {reported}\n"
 
 
 class TestVerifyCommand:
