@@ -61,9 +61,7 @@ from .network import (
     xor_network,
 )
 from .environment import (
-    DEFAULT_GRID_POINTS,
     DEFAULT_TRUNCATION,
-    QuadratureGrid,
     WavePacket,
     averaged_density,
     averaged_ensemble,
@@ -71,7 +69,6 @@ from .environment import (
     energy,
     evaluate_packet,
     format_packet,
-    packet_grid_values,
     parse_packet,
     purity,
     random_packet,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boolfn import BooleanFunction
-from .environment import QuadratureGrid, WavePacket, averaged_density, purity
+from .environment import WavePacket, averaged_density, purity
 from .gates import GateParams, HADAMARD, apply_single, psi_amplitudes
 from .network import (
     boolean_network_for,
@@ -418,9 +418,7 @@ def boolean_mn_check(seed: int = DEFAULT_SEED, samples: int = 50) -> ScenarioRep
 # Environment-averaged scenario
 # ---------------------------------------------------------------------------
 
-def averaged_dynamics_check(
-    t_values=(0.0, 0.5, 3.7), grid_points: int = 16
-) -> ScenarioReport:
+def averaged_dynamics_check(t_values=(0.0, 0.5, 3.7)) -> ScenarioReport:
     """Mirror connection driven by the uniform packet, averaged over angles.
 
     The averaged two-neuron state must stay supported on the agreeing
@@ -431,17 +429,14 @@ def averaged_dynamics_check(
     t_values = [float(t) for t in t_values]
     if not t_values:
         raise ValueError("need at least one time value")
-    grid = QuadratureGrid(grid_points)
     g = BooleanFunction.from_output_strings(["0", "1"])
     net = boolean_network_for(g)
     packet = WavePacket.uniform()
-    report = ScenarioReport(
-        f"averaged-dynamics[t={';'.join(f'{t:g}' for t in t_values)};grid={grid.points_per_axis}]"
-    )
+    report = ScenarioReport(f"averaged-dynamics[t={';'.join(f'{t:g}' for t in t_values)}]")
     first = None
     drift = 0.0
     for t in t_values:
-        rho = averaged_density(net, [packet], t=t, grid=grid)
+        rho = averaged_density(net, [packet], t=t)
         mat = rho.entries
         if first is None:
             first = mat

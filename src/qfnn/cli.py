@@ -20,41 +20,27 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import analysis
 from .boolfn import parse_truth_table
-from .environment import (
-    DEFAULT_GRID_POINTS,
-    QuadratureGrid,
-    WavePacket,
-    averaged_ensemble,
-    parse_packet,
-)
+from .environment import WavePacket, averaged_ensemble, parse_packet
 from .errors import ParseError
 from .gates import GateParams, fixed_gate
 from .network import (
     BooleanStep,
     NetworkSpec,
     UnitaryStep,
+    _bit_strings,
     _checked_inputs,
     branch_amplitudes,
     run_history,
     verify_truth_table,
 )
 from .qstate import _entropy_bits
-
-SCENARIOS = (
-    "table1",
-    "table2",
-    "boolean-mn",
-    "xor",
-    "hadamard-variant",
-    "complementarity",
-    "averaged-dynamics",
-)
 
 _RUN_THRESHOLD = 1e-12
 
@@ -235,7 +221,6 @@ class RunConfig:
     phis: tuple[GateParams, ...] = ()
     seed: int = analysis.DEFAULT_SEED
     samples: int = 100
-    grid_points: int = DEFAULT_GRID_POINTS
     n_max: int | None = None
     times: tuple[float, ...] = (0.0,)
     out_path: str | None = None
@@ -271,32 +256,28 @@ def _csv_rows(header: list[str], rows: list[list[str]]) -> str:
     return buf.getvalue()
 
 
-def _scenario_report(cfg: RunConfig) -> analysis.ScenarioReport:
-    phi = cfg.phis[0] if cfg.phis else None
-    name = cfg.scenario
-    if name == "table1":
-        return analysis.table1_check()
-    if name == "table2":
-        return analysis.table2_check(phi)
-    if name == "boolean-mn":
-        return analysis.boolean_mn_check(seed=cfg.seed, samples=cfg.samples)
-    if name == "xor":
-        return analysis.xor_reflexivity_check(samples=cfg.samples, seed=cfg.seed)
-    if name == "hadamard-variant":
-        return analysis.hadamard_variant_check(phi)
-    if name == "complementarity":
-        return analysis.complementarity_check(phi)
-    if name == "averaged-dynamics":
-        return analysis.averaged_dynamics_check(
-            t_values=cfg.times, grid_points=cfg.grid_points
-        )
-    raise ValueError(f"unknown scenario {name!r}; choose from {list(SCENARIOS)}")
+def _phi(cfg: RunConfig) -> GateParams | None:
+    return cfg.phis[0] if cfg.phis else None
+
+
+#: Scenario name -> report builder; the CLI offers exactly these names.
+SCENARIOS: dict[str, Callable[[RunConfig], analysis.ScenarioReport]] = {
+    "table1": lambda cfg: analysis.table1_check(),
+    "table2": lambda cfg: analysis.table2_check(_phi(cfg)),
+    "boolean-mn": lambda cfg: analysis.boolean_mn_check(seed=cfg.seed, samples=cfg.samples),
+    "xor": lambda cfg: analysis.xor_reflexivity_check(samples=cfg.samples, seed=cfg.seed),
+    "hadamard-variant": lambda cfg: analysis.hadamard_variant_check(_phi(cfg)),
+    "complementarity": lambda cfg: analysis.complementarity_check(_phi(cfg)),
+    "averaged-dynamics": lambda cfg: analysis.averaged_dynamics_check(t_values=cfg.times),
+}
 
 
 def run_command(cfg: RunConfig) -> int:
     """Execute one parsed invocation; returns the process exit status."""
     if cfg.command == "scenario":
-        report = _scenario_report(cfg)
+        if cfg.scenario not in SCENARIOS:
+            raise ValueError(f"unknown scenario {cfg.scenario!r}; choose from {list(SCENARIOS)}")
+        report = SCENARIOS[cfg.scenario](cfg)
         _emit(report.to_csv(), cfg.out_path)
         return 0 if report.passed else 1
 
@@ -310,11 +291,12 @@ def run_command(cfg: RunConfig) -> int:
                 f"got {len(cfg.phis)}"
             )
         state = run_history(net, cfg.phis, inputs)
-        rows = [
-            [bits, f"{amp.real:.12g}", f"{amp.imag:.12g}"]
+        # Bits and numbers never need CSV quoting, so rows are joined directly.
+        body = "".join(
+            f"{bits},{amp.real:.12g},{amp.imag:.12g}\n"
             for bits, amp in branch_amplitudes(state, _RUN_THRESHOLD)
-        ]
-        _emit(_csv_rows(["branch", "re", "im"], rows), cfg.out_path)
+        )
+        _emit("branch,re,im\n" + body, cfg.out_path)
         return 0
 
     if cfg.command == "verify":
@@ -350,15 +332,14 @@ def run_command(cfg: RunConfig) -> int:
                 f"need {len(inputs)} packets for input neurons {list(inputs)}, "
                 f"got {len(packets)}"
             )
-        grid = QuadratureGrid(cfg.grid_points)
         n = net.n_neurons
         header = ["t", "trace", "purity", "entropy_bits"] + [
-            f"p_{format(k, f'0{n}b')}" for k in range(2**n)
+            "p_" + bits for bits in _bit_strings(np.arange(2**n), n)
         ]
         rows = []
         for t in cfg.times:
             # The weights are the spectrum, so no 4^N matrix is needed.
-            w, states = averaged_ensemble(net, packets, t=t, grid=grid, input_neurons=inputs)
+            w, states = averaged_ensemble(net, packets, t=t, input_neurons=inputs)
             probs = np.clip(w @ np.abs(states) ** 2, 0.0, None)
             rows.append(
                 [f"{t:.12g}", f"{w.sum():.12g}", f"{w @ w:.12g}", f"{_entropy_bits(w):.12g}"]
@@ -378,7 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *, phi=False, seed=False, grid=False, times=False):
+    def add_common(p, *, phi=False, seed=False, times=False):
         if phi:
             p.add_argument(
                 "--phi",
@@ -391,9 +372,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if seed:
             p.add_argument("--seed", type=int, default=analysis.DEFAULT_SEED)
             p.add_argument("--samples", type=int, default=100)
-        if grid:
-            p.add_argument("--grid", type=int, default=DEFAULT_GRID_POINTS,
-                           metavar="P", help="quadrature points per angle axis")
         if times:
             p.add_argument("--t", type=parse_float_list, default=(0.0,),
                            metavar="LIST", help="comma-separated times, e.g. 0,0.5,3.7")
@@ -404,7 +382,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "scenario", help="run a bundled verification scenario"
     )
     p_scen.add_argument("name", choices=SCENARIOS)
-    add_common(p_scen, phi=True, seed=True, grid=True, times=True)
+    add_common(p_scen, phi=True, seed=True, times=True)
 
     p_run = sub.add_parser("run", help="run one network history from a config file")
     p_run.add_argument("--net", required=True, metavar="PATH")
@@ -425,7 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_avg.add_argument("--nmax", type=int, default=None, metavar="N",
                        help="drop packet modes with any |component| above N")
-    add_common(p_avg, grid=True, times=True)
+    add_common(p_avg, times=True)
     return parser
 
 
@@ -442,7 +420,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         phis=tuple(parse_phi(p) for p in getattr(args, "phi", None) or ()),
         seed=getattr(args, "seed", analysis.DEFAULT_SEED),
         samples=getattr(args, "samples", 100),
-        grid_points=getattr(args, "grid", DEFAULT_GRID_POINTS),
         n_max=getattr(args, "nmax", None),
         times=tuple(times),
         out_path=getattr(args, "out", None),

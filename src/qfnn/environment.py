@@ -7,28 +7,27 @@ four-vectors n, with energies |n|^2 and the stationary normalization
 modes; evolving it just rotates each coefficient by its eigenphase.
 
 Averaging a network's output over the packet's angle distribution produces a
-mixed state: the quadrature below integrates the projector onto the network
-output over the torus, weighted by |Psi(phi, t)|^2.
+mixed state.  |Psi(phi, t)|^2 is a trigonometric polynomial, so the average
+of each input neuron's projector is a closed-form sum over the few mode
+pairs that survive the angle integrals; no quadrature grid is involved.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import ParseError
 from .gates import GateParams
-from .network import NetworkSpec, _checked_inputs, _run_steps
+from .network import NetworkSpec, _checked_inputs, _product_state, _run_steps
 from .qstate import _EIG_FLOOR, DensityMatrix
 
 ModeIndex = tuple[int, int, int, int]
 
 DEFAULT_TRUNCATION = 3
-DEFAULT_GRID_POINTS = 16
 
 _TWO_PI = 2.0 * math.pi
 _FOUR_PI_SQ = 4.0 * math.pi**2
@@ -184,76 +183,58 @@ def evaluate_packet(packet: WavePacket, phi, t: float = 0.0) -> complex:
     return complex(np.sum(packet._values * np.exp(1j * phases)) / _FOUR_PI_SQ)
 
 
-@dataclass(frozen=True)
-class QuadratureGrid:
-    """Uniform P^4 grid on the torus with equal weights (2 pi / P)^4.
+def _mode_pairs(modes: np.ndarray, shift) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (a, b) with modes[b, :3] == modes[a, :3] + shift.
 
-    Nodes sit at cell midpoints 2 pi (j + 1/2) / P.  For 2 pi periodic
-    integrands every equally spaced offset sums identically; the midpoint
-    offset also makes the node set symmetric under phi -> 2 pi - phi with no
-    fixed node, which cancels the odd part of the quarter-angle gate weights
-    exactly.  Vertex-placed nodes would bias those weights by O(1/P).
+    Packets keep their modes sorted, so the (n0, n1, n2) keys are ascending
+    and the partners of each a form one run found by binary search; only the
+    matching pairs are ever built.
     """
-
-    points_per_axis: int = DEFAULT_GRID_POINTS
-
-    def __post_init__(self):
-        p = int(self.points_per_axis)
-        if p < 2:
-            raise ValueError(f"grid needs at least 2 points per axis, got {p}")
-        object.__setattr__(self, "points_per_axis", p)
-
-    @property
-    def spacing(self) -> float:
-        return _TWO_PI / self.points_per_axis
-
-    @property
-    def weight(self) -> float:
-        """Quadrature weight of one node in four dimensions."""
-        return self.spacing**4
-
-    def axis_nodes(self) -> np.ndarray:
-        """The P midpoint nodes of one axis."""
-        return (np.arange(self.points_per_axis) + 0.5) * self.spacing
+    head = modes[:, :3] - modes[:, :3].min(axis=0)
+    dims = tuple(head.max(axis=0) + 2)  # room for a +1 shift on every axis
+    key = np.ravel_multi_index(head.T, dims)
+    wanted = np.ravel_multi_index((head + shift).T, dims)
+    start = np.searchsorted(key, wanted, "left")
+    counts = np.searchsorted(key, wanted, "right") - start
+    a = np.repeat(np.arange(len(key)), counts)
+    # Within a's run, b counts up from start[a].
+    b = np.arange(counts.sum()) + np.repeat(start - np.cumsum(counts) + counts, counts)
+    return a, b
 
 
-def packet_grid_values(packet: WavePacket, grid: QuadratureGrid, t: float = 0.0) -> np.ndarray:
-    """Psi(phi, t) on the full grid, shape (P, P, P, P), axis k = angle k."""
-    nodes = grid.axis_nodes()
-    p = grid.points_per_axis
-    out = np.zeros((p, p, p, p), dtype=np.complex128)
-    coeffs = packet.evolved_coefficients(t) / _FOUR_PI_SQ
-    for row, c in zip(packet._modes, coeffs):
-        axes = [np.exp(1j * int(k) * nodes) for k in row]
-        out += c * np.einsum("a,b,c,d->abcd", *axes)
-    return out
-
-
-def _averaged_qubit_density(packet: WavePacket, grid: QuadratureGrid, t: float) -> np.ndarray:
-    """Quadrature of the excited-neuron projector against |Psi|^2, one neuron.
+def _averaged_qubit_density(packet: WavePacket, t: float) -> np.ndarray:
+    """Exact average of the excited-neuron projector over |Psi(phi, t)|^2, one neuron.
 
     The gate response of a quiescent neuron is the pure state
-    (e^{i(phi0+phi1)} cos(phi3/4), -e^{i(phi0-phi2)} sin(phi3/4)); averaging
-    its projector needs only three reductions of the weight grid.  Trace is
-    left at the raw quadrature mass; the caller renormalizes once.
+    (e^{i(phi0+phi1)} cos(phi3/4), -e^{i(phi0-phi2)} sin(phi3/4)), and
+    |Psi|^2 = sum_ab c_a conj(c_b) e^{i d.phi} / (16 pi^4) with d = n_a - n_b.
+    Axes 0-2 integrate to (2 pi)^3 for d = (0, 0, 0) in the diagonal and,
+    after the response phase e^{i(phi1+phi2)}, for d = (0, -1, -1) in the
+    coherence; every other pair drops out, and each kept pair carries
+    c_a conj(c_b) / (2 pi).  Axis 3 is closed form too: with
+    int_0^{2pi} e^{iw phi} dphi = 2i/w for half-integer w,
+    cos^2(phi/4) = (1 + cos(phi/2))/2 gives pi [d3 = 0] + i d3 / (d3^2 - 1/4),
+    sin^2(phi/4) = (1 - cos(phi/2))/2 gives pi [d3 = 0] - i d3 / (d3^2 - 1/4),
+    and -cos(phi/4) sin(phi/4) = -sin(phi/2)/2 gives 1 / (2 d3^2 - 1/2).
+    Modes are distinct, so d = 0 only for a = b: the flat part of the
+    diagonal is sum |c|^2 / 2, and the trace sum |c|^2.
     """
-    nodes = grid.axis_nodes()
-    w = grid.weight * np.abs(packet_grid_values(packet, grid, t)) ** 2
-    c = np.cos(nodes / 4.0)
-    s = np.sin(nodes / 4.0)
-    w3 = w.sum(axis=(0, 1, 2))
-    r00 = float((w3 * c * c).sum())
-    r11 = float((w3 * s * s).sum())
-    phase = np.exp(1j * nodes)
-    r01 = complex(-np.einsum("abcd,b,c,d->", w, phase, phase, c * s))
-    return np.array([[r00, r01], [np.conj(r01), r11]], dtype=np.complex128)
+    modes = packet._modes
+    c = packet.evolved_coefficients(t)
+    flat = 0.5 * np.vdot(c, c).real
+    a, b = _mode_pairs(modes, (0, 0, 0))
+    d3 = (modes[a, 3] - modes[b, 3]).astype(np.float64)
+    wave = (c[a] * c[b].conj() * (1j * d3 / (_TWO_PI * (d3 * d3 - 0.25)))).sum().real
+    a, b = _mode_pairs(modes, (0, 1, 1))
+    d3 = (modes[a, 3] - modes[b, 3]).astype(np.float64)
+    r01 = complex((c[a] * c[b].conj() / (_TWO_PI * (2.0 * d3 * d3 - 0.5))).sum())
+    return np.array([[flat + wave, r01], [r01.conjugate(), flat - wave]], dtype=np.complex128)
 
 
 def averaged_ensemble(
     net: NetworkSpec,
     packets: Sequence[WavePacket],
     t: float = 0.0,
-    grid: QuadratureGrid | None = None,
     input_neurons: Sequence[int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Network output averaged over the environment, as (weights, states).
@@ -262,15 +243,14 @@ def averaged_ensemble(
     ``states`` of shape (K, 2^N), K <= 2^len(packets).  Packets drive their
     input neurons (default 1..len(packets)); other neurons start quiescent.
     As packets factor over angle blocks and steps ignore the angles, the
-    average is U (x)_q rho_q U^dagger, rho_q being the per-neuron quadrature
+    average is U (x)_q rho_q U^dagger, rho_q being the exact per-neuron
     average at unit trace.  U is unitary, so the rho_q eigenvectors pushed
     through the steps are its eigenstates and the products of their
     eigenvalues its spectrum; no 4^N matrix is formed.
     """
-    if grid is None:
-        grid = QuadratureGrid()
-    if not isinstance(grid, QuadratureGrid):
-        raise ValueError(f"grid must be a QuadratureGrid, got {type(grid).__name__}")
+    t = float(t)
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
     packets = list(packets)
     if not packets:
         raise ValueError("need at least one input packet")
@@ -284,26 +264,24 @@ def averaged_ensemble(
             f"{len(packets)} packets for {len(inputs)} input neurons; counts must match"
         )
     inputs = _checked_inputs(inputs, n)
-    driven = dict(zip(inputs, packets))
-    weights = np.ones(1)
-    states = np.ones((1, 1), dtype=np.complex128)
-    for q in range(1, n + 1):
-        if q not in driven:
-            states = np.kron(states, [[1.0, 0.0]])
-            continue
-        rho = _averaged_qubit_density(driven[q], grid, float(t))
+    eigs, vecs = [], []
+    for q, packet in zip(inputs, packets):
+        rho = _averaged_qubit_density(packet, t)
         trace = float(rho.trace().real)
         if not (math.isfinite(trace) and trace > 0.0):
-            raise ValueError("averaged state has no finite, positive quadrature mass")
-        eigs, vecs = np.linalg.eigh(rho / trace)
-        if not eigs[0] >= _EIG_FLOOR:
-            raise ValueError(
-                f"averaged input density of neuron {q} has eigenvalue {eigs[0]:g}"
-            )
-        weights = np.kron(weights, eigs)
-        states = np.kron(states, vecs.T)
+            raise ValueError(f"averaged input density of neuron {q} has trace {trace:g}")
+        lam, v = np.linalg.eigh(rho / trace)
+        if not lam[0] >= _EIG_FLOOR:
+            raise ValueError(f"averaged input density of neuron {q} has eigenvalue {lam[0]:g}")
+        eigs.append(lam)
+        vecs.append(v.T)
+    # Row r takes eigenpair bit j of r on input j, the first input most significant.
+    m = len(inputs)
+    picks = (np.arange(2**m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
+    weights = np.prod([lam[pick] for lam, pick in zip(eigs, picks.T)], axis=0)
     keep = weights != 0.0
-    states = _run_steps(states[keep], net)
+    columns = np.stack([v[pick] for v, pick in zip(vecs, picks[keep].T)], axis=1)
+    states = _run_steps(_product_state(columns, inputs, n), net)
     norm_dev = float(np.max(np.abs((np.abs(states) ** 2).sum(axis=1) - 1.0)))
     if not norm_dev <= _NORM_ATOL:
         raise ValueError(f"ensemble state norms drifted by {norm_dev:g}")
@@ -314,11 +292,10 @@ def averaged_density(
     net: NetworkSpec,
     packets: Sequence[WavePacket],
     t: float = 0.0,
-    grid: QuadratureGrid | None = None,
     input_neurons: Sequence[int] | None = None,
 ) -> DensityMatrix:
     """Dense (4^N-entry) form of ``averaged_ensemble``, same arguments."""
-    weights, states = averaged_ensemble(net, packets, t, grid, input_neurons)
+    weights, states = averaged_ensemble(net, packets, t, input_neurons)
     return DensityMatrix(net.n_neurons, (states.T * weights) @ states.conj())
 
 

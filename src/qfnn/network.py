@@ -213,6 +213,12 @@ def run_history(
     return StateVector(n, _run_steps(_product_state(columns, inputs, n)[0], net))
 
 
+def _bit_strings(indices: np.ndarray, n: int) -> list[str]:
+    """Basis indices as n-digit bit strings, neuron 1 first, built in one numpy pass."""
+    digits = ((indices[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8) + ord("0")
+    return digits.view(f"S{n}").ravel().astype(f"U{n}").tolist()
+
+
 def branch_amplitudes(
     state: StateVector, threshold: float = 0.0
 ) -> list[tuple[str, complex]]:
@@ -224,13 +230,9 @@ def branch_amplitudes(
     threshold = float(threshold)
     if threshold < 0.0:
         raise ValueError(f"threshold must be non-negative, got {threshold}")
-    n = state.n_qubits
     # hypot rounds as abs() does on one amplitude; np.abs on arrays can be an ulp off.
     keep = np.flatnonzero(np.hypot(state.amps.real, state.amps.imag) > threshold)
-    return [
-        (format(k, f"0{n}b"), a)
-        for k, a in zip(keep.tolist(), state.amps[keep].tolist())
-    ]
+    return list(zip(_bit_strings(keep, state.n_qubits), state.amps[keep].tolist()))
 
 
 def boolean_network_for(g: BooleanFunction) -> NetworkSpec:

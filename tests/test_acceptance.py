@@ -24,7 +24,6 @@ from qfnn import (
     IDENTITY_PARAMS,
     NOT_PARAMS,
     NetworkSpec,
-    QuadratureGrid,
     StateVector,
     WavePacket,
     averaged_density,
@@ -35,7 +34,6 @@ from qfnn import (
     eigenfunction,
     energy,
     hadamard_variant_network,
-    packet_grid_values,
     reduced_density,
     run_history,
     u2_from_params,
@@ -43,6 +41,7 @@ from qfnn import (
     von_neumann_entropy,
     xor_network,
 )
+from torus_oracle import midpoint, packet_values
 
 TWO_PI = 2.0 * math.pi
 
@@ -271,7 +270,8 @@ def test_torus_spectrum():
 def test_packet_evolution_unitarity():
     failures = []
     rng = np.random.default_rng(707)
-    grid = QuadratureGrid(16)
+    # The 16-point midpoint rule integrates |Psi|^2 exactly for |components| <= 3.
+    nodes, weights = midpoint(16)
     for k in range(20):
         raw = {
             tuple(int(v) for v in row): complex(re, im)
@@ -291,9 +291,8 @@ def test_packet_evolution_unitarity():
             drift = abs(float(np.sum(np.abs(evolved) ** 2)) - base)
             if drift >= 1e-12:
                 failures.append(f"packet {k}: norm drift {drift:.3e} at t={t}")
-            mass = grid.weight * float(
-                np.sum(np.abs(packet_grid_values(packet, grid, t)) ** 2)
-            )
+            psi = packet_values(packet, [nodes] * 4, t)
+            mass = weights[0] ** 4 * float(np.sum(np.abs(psi) ** 2))
             if abs(mass - 1.0) >= 1e-6:
                 failures.append(f"packet {k}: quadrature mass {mass:.9f} at t={t}")
     _finish("wave-packet evolution unitarity", failures)
@@ -303,7 +302,7 @@ def test_averaged_density_mirror():
     failures = []
     net = _mirror_net()
     started = time.perf_counter()
-    rho = averaged_density(net, (WavePacket.uniform(),), grid=QuadratureGrid(16))
+    rho = averaged_density(net, (WavePacket.uniform(),))
     elapsed = time.perf_counter() - started
     entries = rho.entries
 

@@ -57,7 +57,7 @@ class TestScenarioChecksPass:
         assert report.counts() == (39, 39)
 
     def test_averaged_dynamics(self):
-        report = averaged_dynamics_check(t_values=(0.0, 1.25), grid_points=8)
+        report = averaged_dynamics_check(t_values=(0.0, 1.25))
         assert report.passed
 
     def test_input_validation(self):

@@ -10,7 +10,14 @@ import sys
 import numpy as np
 import pytest
 
-from qfnn import IDENTITY_PARAMS, ParseError, WavePacket, averaged_ensemble, run_history
+from qfnn import (
+    IDENTITY_PARAMS,
+    ParseError,
+    WavePacket,
+    averaged_ensemble,
+    branch_amplitudes,
+    run_history,
+)
 from qfnn.cli import (
     main,
     parse_angle,
@@ -175,9 +182,14 @@ class TestScenarioCommand:
         assert "xor[samples=5;seed=11]" in out
 
     def test_averaged_dynamics_with_times_and_grid(self, capsys):
-        code = main(["scenario", "averaged-dynamics", "--t", "0,0.5", "--grid", "8"])
+        """Times are taken; the average is exact, so a --grid flag no longer exists."""
+        code = main(["scenario", "averaged-dynamics", "--t", "0,0.5"])
         assert code == 0
-        assert "averaged-dynamics" in capsys.readouterr().out
+        assert "averaged-dynamics[t=0;0.5]," in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["scenario", "averaged-dynamics", "--t", "0,0.5", "--grid", "8"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --grid 8" in capsys.readouterr().err
 
     def test_out_flag_writes_the_file(self, tmp_path, capsys):
         path = tmp_path / "report.csv"
@@ -200,6 +212,32 @@ class TestRunCommand:
         assert set(branches) == {"00", "11"}
         assert branches["00"][0] == pytest.approx(math.cos(math.pi / 4), abs=1e-12)
         assert branches["11"][0] == pytest.approx(-math.sin(math.pi / 4), abs=1e-12)
+
+    def test_csv_is_what_the_csv_module_writes(self, tmp_path, capsys):
+        """The joined rows are byte for byte the csv.writer rendering."""
+        text = (
+            "layers = [2, 2]\n[step]\nkind = boolean\ncontrols = [1, 2]\ntargets = [3, 4]\n"
+            "table = 00 -> 01, 01 -> 11, 10 -> 00, 11 -> 10\n"
+            "[step]\nkind = post_unitary\ntargets = [3, 4]\ngate = hadamard\n"
+        )
+        net = tmp_path / "layered.net"
+        net.write_text(text, encoding="utf-8")
+        phis = ["0.3,1.1,-0.4,2.5", "1,2,3,0.5pi"]
+        code = main(["run", "--net", str(net), *(f"--phi={p}" for p in phis)])
+        out = capsys.readouterr().out
+        assert code == 0
+        net_spec, inputs = parse_network_config(text)
+        state = run_history(net_spec, [parse_phi(p) for p in phis], inputs)
+        rows = [
+            [bits, f"{a.real:.12g}", f"{a.imag:.12g}"]
+            for bits, a in branch_amplitudes(state, 1e-12)
+        ]
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["branch", "re", "im"])
+        writer.writerows(rows)
+        assert len(rows) == 16
+        assert out == buf.getvalue()
 
     def test_phi_count_mismatch_is_a_config_error(self, tmp_path, capsys):
         net = tmp_path / "mirror.net"
@@ -269,7 +307,7 @@ class TestAverageCommand:
     def test_uniform_default_packet(self, tmp_path, capsys):
         net = tmp_path / "mirror.net"
         net.write_text(MIRROR_NET, encoding="utf-8")
-        code = main(["average", "--net", str(net), "--t", "0,0.5", "--grid", "8"])
+        code = main(["average", "--net", str(net), "--t", "0,0.5"])
         out = capsys.readouterr().out
         assert code == 0
         rows = rows_of(out)
@@ -288,11 +326,20 @@ class TestAverageCommand:
         pk.write_text(f"0 0 0 0 {r} 0\n5 0 0 0 {r} 0\n", encoding="utf-8")
         code = main([
             "average", "--net", str(net), "--packet", str(pk),
-            "--nmax", "3", "--grid", "8",
+            "--nmax", "3",
         ])
         assert code == 0
         rows = rows_of(capsys.readouterr().out)
         assert float(rows[1][1]) == pytest.approx(1.0, abs=1e-9)
+
+    def test_non_finite_time_exits_two(self, tmp_path, capsys):
+        net = tmp_path / "mirror.net"
+        net.write_text(MIRROR_NET, encoding="utf-8")
+        code = main(["average", "--net", str(net), "--t", "0,nan"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: t must be finite, got nan\n"
+        assert captured.out == ""
 
     def test_bad_packet_file_is_a_parse_error(self, tmp_path, capsys):
         net = tmp_path / "mirror.net"

@@ -147,7 +147,7 @@ def test_branch_amplitudes_match_the_loop_at_the_threshold(n, seed, zeros, data)
         ]
         got = branch_amplitudes(state, t)
         assert got == expected
-        assert all(type(a) is complex for _, a in got)
+        assert all(type(bits) is str and type(a) is complex for bits, a in got)
 
 
 def test_sliced_truth_table_drives_match_one_batch(monkeypatch):

@@ -22,7 +22,6 @@ from qfnn import (
     BooleanFunction,
     BooleanStep,
     NetworkSpec,
-    QuadratureGrid,
     UnitaryStep,
     averaged_density,
     averaged_ensemble,
@@ -65,11 +64,11 @@ def _conjugate_step(rho, step, n_qubits):
     return rho
 
 
-def dense_oracle(net, packets, t, grid):
+def dense_oracle(net, packets, t):
     """(4^N averaged density, unit-trace input densities) for inputs 1..m."""
     inputs = []
     for p in packets:
-        r = _averaged_qubit_density(p, grid, t)
+        r = _averaged_qubit_density(p, t)
         inputs.append(r / r.trace().real)
     ground = np.diag([1.0, 0.0]).astype(complex)
     rho = np.ones((1, 1), dtype=complex)
@@ -82,7 +81,7 @@ def dense_oracle(net, packets, t, grid):
 
 @st.composite
 def cases(draw):
-    """Layered net (N <= 6) of random tables and Hadamards, packets, grid, t."""
+    """Layered net (N <= 6) of random tables and Hadamards, packets, t."""
     layers = draw(
         st.lists(st.integers(1, 3), min_size=2, max_size=3).filter(lambda w: sum(w) <= 6)
     )
@@ -100,9 +99,8 @@ def cases(draw):
     truncation = draw(st.integers(0, 2))
     n_modes = draw(st.integers(1, 5 if truncation else 1))
     packets = [random_packet(truncation, n_modes, rng) for _ in range(layers[0])]
-    grid = QuadratureGrid(draw(st.integers(2, 6)))
     t = draw(st.floats(0.0, 5.0))
-    return NetworkSpec(layers, tuple(steps)), packets, grid, t
+    return NetworkSpec(layers, tuple(steps)), packets, t
 
 
 def config_text(net):
@@ -123,18 +121,18 @@ def config_text(net):
 @PROPERTY
 @given(cases())
 def test_dense_form_matches_conjugation_oracle(case):
-    net, packets, grid, t = case
-    expected, _ = dense_oracle(net, packets, t, grid)
-    got = averaged_density(net, packets, t=t, grid=grid).entries
+    net, packets, t = case
+    expected, _ = dense_oracle(net, packets, t)
+    got = averaged_density(net, packets, t=t).entries
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
 
 @PROPERTY
 @given(cases())
 def test_weights_are_the_product_of_input_spectra(case):
-    net, packets, grid, t = case
-    expected, inputs = dense_oracle(net, packets, t, grid)
-    weights, states = averaged_ensemble(net, packets, t=t, grid=grid)
+    net, packets, t = case
+    expected, inputs = dense_oracle(net, packets, t)
+    weights, states = averaged_ensemble(net, packets, t=t)
     spectrum = np.ones(1)
     for r in inputs:
         spectrum = np.kron(spectrum, np.linalg.eigvalsh(r))
@@ -154,8 +152,8 @@ def test_weights_are_the_product_of_input_spectra(case):
 @settings(max_examples=15, deadline=None, derandomize=True)
 @given(cases())
 def test_average_command_matches_dense_oracle(case):
-    net, packets, grid, t = case
-    expected, _ = dense_oracle(net, packets, t, grid)
+    net, packets, t = case
+    expected, _ = dense_oracle(net, packets, t)
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
         (d / "net.cfg").write_text(config_text(net))
@@ -163,7 +161,7 @@ def test_average_command_matches_dense_oracle(case):
         for k, p in enumerate(packets):
             (d / f"{k}.pk").write_text(format_packet(p))
             argv += ["--packet", str(d / f"{k}.pk")]
-        argv += ["--t", repr(t), "--grid", str(grid.points_per_axis), "--out", str(d / "o.csv")]
+        argv += ["--t", repr(t), "--out", str(d / "o.csv")]
         assert main(argv) == 0
         header, row = list(csv.reader((d / "o.csv").open()))
     assert header[1:4] == ["trace", "purity", "entropy_bits"]

@@ -1,10 +1,13 @@
-"""Unit tests for torus modes, wave packets, quadrature, and state averaging."""
+"""Unit tests for torus modes, wave packets, and exact state averaging."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfnn import (
     BooleanFunction,
@@ -12,7 +15,6 @@ from qfnn import (
     GateParams,
     NetworkSpec,
     ParseError,
-    QuadratureGrid,
     WavePacket,
     averaged_density,
     boolean_network_for,
@@ -20,12 +22,19 @@ from qfnn import (
     energy,
     evaluate_packet,
     format_packet,
-    packet_grid_values,
     parse_packet,
     purity,
     random_packet,
     run_history,
     von_neumann_entropy,
+)
+from qfnn.environment import _averaged_qubit_density
+from torus_oracle import (
+    exact_density,
+    gauss_legendre,
+    grid_density,
+    midpoint,
+    packet_values,
 )
 
 FOUR_PI_SQ = 4.0 * math.pi**2
@@ -61,10 +70,9 @@ class TestEnergyAndEigenfunction:
 
     def test_discrete_orthonormality_on_a_small_grid(self):
         """Grid quadrature of conj(mode a) * mode b is a Kronecker delta."""
-        grid = QuadratureGrid(6)
-        nodes = grid.axis_nodes()
+        nodes, weights = midpoint(6)
         for da in range(-2, 3):
-            axis = np.exp(1j * da * nodes).sum() * grid.spacing / (2.0 * np.pi)
+            axis = (np.exp(1j * da * nodes) * weights).sum() / (2.0 * np.pi)
             np.testing.assert_allclose(axis, 1.0 if da == 0 else 0.0, atol=1e-13)
 
 
@@ -112,22 +120,6 @@ class TestWavePacket:
         assert p.norm_sq() == pytest.approx(1.0, abs=1e-12)
 
 
-class TestQuadratureGrid:
-    def test_rejects_tiny_grids(self):
-        with pytest.raises(ValueError, match="at least 2"):
-            QuadratureGrid(1)
-
-    def test_nodes_are_cell_midpoints(self):
-        grid = QuadratureGrid(4)
-        np.testing.assert_allclose(
-            grid.axis_nodes(), [np.pi / 4, 3 * np.pi / 4, 5 * np.pi / 4, 7 * np.pi / 4]
-        )
-        np.testing.assert_allclose(grid.weight, (np.pi / 2) ** 4)
-
-    def test_default_size(self):
-        assert QuadratureGrid().points_per_axis == 16
-
-
 class TestEvaluatePacket:
     def test_single_mode_matches_plane_wave(self):
         rng = np.random.default_rng(53)
@@ -140,11 +132,11 @@ class TestEvaluatePacket:
             np.testing.assert_allclose(evaluate_packet(p, angles, t), expected, atol=1e-14)
 
     def test_grid_values_match_pointwise_evaluation(self):
+        """The tests' brute-force grid oracle agrees with the library, node by node."""
         rng = np.random.default_rng(54)
         p = random_packet(2, 6, rng)
-        grid = QuadratureGrid(5)
-        nodes = grid.axis_nodes()
-        values = packet_grid_values(p, grid, t=0.4)
+        nodes, _ = midpoint(5)
+        values = packet_values(p, [nodes] * 4, t=0.4)
         for _ in range(8):
             ijkl = tuple(rng.integers(0, 5, size=4))
             point = [nodes[x] for x in ijkl]
@@ -153,20 +145,29 @@ class TestEvaluatePacket:
             )
 
     def test_grid_quadrature_of_probability_is_one(self):
+        """The 16-point midpoint rule is exact for |components| <= 3."""
         rng = np.random.default_rng(55)
-        grid = QuadratureGrid(16)
+        nodes, weights = midpoint(16)
         for _ in range(5):
             p = random_packet(3, 10, rng)
             for t in (0.0, 0.5):
-                mass = grid.weight * np.sum(np.abs(packet_grid_values(p, grid, t)) ** 2)
+                mass = weights[0] ** 4 * np.sum(np.abs(packet_values(p, [nodes] * 4, t)) ** 2)
                 np.testing.assert_allclose(mass, 1.0, atol=1e-12)
+
+
+def _node_weights(packet, rules, t):
+    """(angle points, |Psi(phi, t)|^2 times node weight), one row per node of a product rule."""
+    axes = [nodes for nodes, _ in rules]
+    points = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    weights = np.einsum("a,b,c,d->abcd", *(w for _, w in rules)).ravel()
+    return points, weights * np.abs(packet_values(packet, axes, t)).ravel() ** 2
 
 
 class TestAveragedDensity:
     def test_mirror_with_uniform_packet(self):
         """Averaging the mirror pair gives an even classical mixture of 00 and 11."""
         net = boolean_network_for(MIRROR)
-        rho = averaged_density(net, [WavePacket.uniform()], grid=QuadratureGrid(16))
+        rho = averaged_density(net, [WavePacket.uniform()])
         mat = rho.entries
         np.testing.assert_allclose(np.diag(mat).real, [0.5, 0.0, 0.0, 0.5], atol=1e-12)
         off = np.abs(mat) - np.diag(np.diag(np.abs(mat)))
@@ -175,123 +176,99 @@ class TestAveragedDensity:
         np.testing.assert_allclose(von_neumann_entropy(rho), 1.0, atol=1e-9)
 
     def test_uniform_packet_is_stationary(self):
+        """Single modes, the uniform one included, give time-independent averages."""
         net = boolean_network_for(MIRROR)
-        grid = QuadratureGrid(8)
-        rho0 = averaged_density(net, [WavePacket.uniform()], t=0.0, grid=grid)
-        rho1 = averaged_density(net, [WavePacket.uniform()], t=2.3, grid=grid)
-        np.testing.assert_allclose(rho0.entries, rho1.entries, atol=1e-12)
+        for packet in (WavePacket.uniform(), WavePacket.single_mode((2, 1, 0, -1))):
+            rho0 = averaged_density(net, [packet], t=0.0)
+            rho1 = averaged_density(net, [packet], t=2.3)
+            np.testing.assert_allclose(rho0.entries, rho1.entries, atol=1e-12)
 
     def test_matches_direct_node_sum_single_input(self):
-        """Factorized averaging equals the literal per-node sum of projectors."""
+        """Factorized averaging equals the literal per-node sum of projectors.
+
+        Components in [-1, 1] keep axes 0-2 at |frequency| <= 3, exact on 4
+        midpoints; axis 3 takes 18 Gauss-Legendre nodes.
+        """
         rng = np.random.default_rng(56)
         net = boolean_network_for(MIRROR)
         packet = random_packet(1, 4, rng)
-        grid = QuadratureGrid(5)
         t = 0.3
-        nodes = grid.axis_nodes()
+        points, weights = _node_weights(packet, [midpoint(4)] * 3 + [gauss_legendre(18)], t)
         acc = np.zeros((4, 4), dtype=complex)
-        total = 0.0
-        for i0 in range(5):
-            for i1 in range(5):
-                for i2 in range(5):
-                    for i3 in range(5):
-                        point = (nodes[i0], nodes[i1], nodes[i2], nodes[i3])
-                        w = grid.weight * abs(evaluate_packet(packet, point, t)) ** 2
-                        amps = run_history(net, [GateParams(*point)], (1,)).amps
-                        acc += w * np.outer(amps, amps.conj())
-                        total += w
-        expected = acc / total
-        got = averaged_density(net, [packet], t=t, grid=grid).entries
-        np.testing.assert_allclose(got, expected, atol=1e-10)
+        for point, w in zip(points, weights):
+            amps = run_history(net, [GateParams(*point)], (1,)).amps
+            acc += w * np.outer(amps, amps.conj())
+        expected = acc / weights.sum()
+        got = averaged_density(net, [packet], t=t).entries
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
     def test_matches_direct_node_sum_two_inputs(self):
-        """Two independent packets: the product-grid sum agrees with assembly."""
-        rng = np.random.default_rng(57)
+        """Two independent packets: the product-node sum agrees with assembly.
+
+        All modes share n0, so one node covers axis 0; the first packet has
+        a coherence pair (modes differing by (0, 1, 1, 0)) and needs 3
+        midpoints on axes 1-2, the second varies only in n3 and needs 2.
+        """
         xor = BooleanFunction(2, 1, (0, 1, 1, 0))
         net = boolean_network_for(xor)
-        packets = [random_packet(1, 3, rng), random_packet(1, 3, rng)]
-        grid = QuadratureGrid(3)
-        t = 0.7
-        nodes = grid.axis_nodes()
-        combos = [
-            (nodes[a], nodes[b], nodes[c], nodes[d])
-            for a in range(3) for b in range(3) for c in range(3) for d in range(3)
+        packets = [
+            WavePacket({(0, 0, 0, 0): 0.6, (0, 1, 1, 0): 0.48j, (0, 0, 1, 1): -0.64}),
+            WavePacket({(1, 0, 0, -1): 0.8, (1, 0, 0, 1): 0.6j}),
         ]
-        weights = [
-            [grid.weight * abs(evaluate_packet(p, point, t)) ** 2 for point in combos]
-            for p in packets
+        t = 0.7
+        flat = (np.array([0.0]), np.array([2.0 * np.pi]))
+        nodes = [
+            _node_weights(packets[0], [flat, midpoint(3), midpoint(3), gauss_legendre(14)], t),
+            _node_weights(packets[1], [flat, midpoint(2), midpoint(2), gauss_legendre(14)], t),
         ]
         acc = np.zeros((8, 8), dtype=complex)
         total = 0.0
-        for x, point_x in enumerate(combos):
-            for y, point_y in enumerate(combos):
-                w = weights[0][x] * weights[1][y]
+        for point_x, w_x in zip(*nodes[0]):
+            for point_y, w_y in zip(*nodes[1]):
                 amps = run_history(
                     net, [GateParams(*point_x), GateParams(*point_y)], (1, 2)
                 ).amps
-                acc += w * np.outer(amps, amps.conj())
-                total += w
+                acc += w_x * w_y * np.outer(amps, amps.conj())
+                total += w_x * w_y
         expected = acc / total
-        got = averaged_density(net, packets, t=t, grid=grid).entries
-        np.testing.assert_allclose(got, expected, atol=1e-10)
+        # The coherence of the first input is really exercised.
+        assert np.abs(expected - np.diag(np.diag(expected))).max() > 0.05
+        got = averaged_density(net, packets, t=t).entries
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
     def test_refinement_convergence_for_phase_decoupled_packets(self):
-        """Doubling the grid leaves the average unchanged for resolvable packets.
+        """The midpoint grid is already exact for packets whose modes share n3.
 
         Single modes (flat probability) and packets whose modes differ only in
-        the first angle index keep every quadrature term grid-exact, so P=8
-        and P=16 must agree to floating-point precision.
+        the first angle index leave no half-integer frequency on axis 3, so
+        the P=8 and P=16 grids both equal the exact average to rounding.
         """
-        net = boolean_network_for(MIRROR)
+        net = NetworkSpec((1,), ())
         packets = [
             WavePacket.single_mode((1, -2, 0, 3)),
             WavePacket({(0, 1, 2, -1): complex(0.8), (3, 1, 2, -1): complex(0.6)}),
         ]
         for packet in packets:
-            coarse = averaged_density(net, [packet], t=0.9, grid=QuadratureGrid(8))
-            fine = averaged_density(net, [packet], t=0.9, grid=QuadratureGrid(16))
-            assert float(np.max(np.abs(coarse.entries - fine.entries))) < 1e-6
+            exact = averaged_density(net, [packet], t=0.9).entries
+            for points in (8, 16):
+                grid = grid_density(packet, 0.9, points)
+                np.testing.assert_allclose(grid / grid.trace(), exact, rtol=0, atol=1e-12)
 
     def test_grid_error_falls_as_inverse_square_when_modes_differ_in_n3(self):
-        """The midpoint grid is exact only if all modes share n3; else O(P^-2).
+        """The midpoint grid converges to the exact average at O(P^-2).
 
-        The closed form factors into axis integrals: 2 pi delta(d) on axes
-        0-2, and on axis 3 cos^2(x/4) = 1/2 + (e^{ix/2} + e^{-ix/2})/4 and
-        cos(x/4) sin(x/4) = (e^{ix/2} - e^{-ix/2})/(4i), with
-        int_0^{2pi} e^{iwx} dx = 2i/w for half-integer w.
+        Modes differing in n3 put half-integer frequencies, from the
+        quarter-angle response, on axis 3; the midpoint rule misses those
+        integrals by O(P^-2), while the library sums them in closed form.
         """
-
-        def axis(w):
-            if w == 0:
-                return 2.0 * math.pi
-            return 0.0 if float(w).is_integer() else 2j / w
-
         packet = WavePacket({(0, 0, 0, 0): 0.6, (0, 0, 0, 1): 0.8j})
         t = 0.3
-        coeffs = packet.evolved_coefficients(t) / FOUR_PI_SQ
-        exact = np.zeros((2, 2), dtype=complex)
-        for a, ma in zip(coeffs, packet.modes):
-            for b, mb in zip(coeffs, packet.modes):
-                d0, d1, d2, d3 = np.subtract(ma, mb)
-                w = a * np.conj(b)
-                half = (axis(d3 + 0.5) + axis(d3 - 0.5)) / 4.0
-                flat = axis(d0) * axis(d1) * axis(d2)
-                exact[0, 0] += w * flat * (axis(d3) / 2.0 + half)
-                exact[1, 1] += w * flat * (axis(d3) / 2.0 - half)
-                exact[0, 1] -= (
-                    w * axis(d0) * axis(d1 + 1) * axis(d2 + 1)
-                    * (axis(d3 + 0.5) - axis(d3 - 0.5)) / 4j
-                )
-        exact[1, 0] = np.conj(exact[0, 1])
-        assert exact.trace().real == pytest.approx(1.0, abs=1e-12)
-        single = NetworkSpec((1,), ())
-        errors = [
-            float(np.max(np.abs(
-                averaged_density(single, [packet], t=t, grid=QuadratureGrid(p)).entries
-                - exact
-            )))
-            for p in (8, 16, 32)
-        ]
+        exact = averaged_density(NetworkSpec((1,), ()), [packet], t=t).entries
+        np.testing.assert_allclose(exact, exact_density(packet, t), rtol=0, atol=1e-12)
+        errors = []
+        for points in (8, 16, 32):
+            grid = grid_density(packet, t, points)
+            errors.append(float(np.max(np.abs(grid / grid.trace() - exact))))
         assert 2e-3 < errors[0] < 6e-3  # 3.9e-3 at P=8: not exact
         for coarse, fine in zip(errors, errors[1:]):
             assert 3.5 < coarse / fine < 4.5
@@ -300,8 +277,7 @@ class TestAveragedDensity:
         """Feeding neuron 2 and copying onto neuron 1 mirrors the usual layout."""
         reversed_net = NetworkSpec((1, 1), (BooleanStep(MIRROR, (2,), (1,)),))
         rho = averaged_density(
-            reversed_net, [WavePacket.uniform()], grid=QuadratureGrid(8),
-            input_neurons=(2,),
+            reversed_net, [WavePacket.uniform()], input_neurons=(2,),
         )
         np.testing.assert_allclose(
             np.diag(rho.entries).real, [0.5, 0.0, 0.0, 0.5], atol=1e-12
@@ -316,12 +292,63 @@ class TestAveragedDensity:
             averaged_density(net, [])
         with pytest.raises(ValueError, match="duplicate"):
             averaged_density(net, [uniform, uniform], input_neurons=(1, 1))
-        with pytest.raises(ValueError, match="QuadratureGrid"):
-            averaged_density(net, [uniform], grid=16)
         with pytest.raises(ValueError, match="out of range"):
             averaged_density(net, [uniform], input_neurons=(9,))
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="quadrature mass"):
+        with pytest.raises(ValueError, match="t must be finite"):
             averaged_density(net, [uniform], t=math.inf)
+
+
+@st.composite
+def packets_and_times(draw):
+    """Random packet (truncation <= 3, 1-24 modes) and time."""
+    truncation = draw(st.integers(0, 3))
+    n_modes = draw(st.integers(1, min(24, (2 * truncation + 1) ** 4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_packet(truncation, n_modes, rng), draw(st.floats(0.0, 10.0))
+
+
+class TestExactAverage:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(packets_and_times())
+    def test_closed_form_matches_node_sum_oracle(self, case):
+        packet, t = case
+        got = _averaged_qubit_density(packet, t)
+        np.testing.assert_allclose(got, exact_density(packet, t), rtol=0, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(packets_and_times())
+    def test_unit_trace_and_positive_for_random_packets(self, case):
+        packet, t = case
+        rho = _averaged_qubit_density(packet, t)
+        assert rho.trace().real == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(rho, rho.conj().T, rtol=0, atol=0)
+        assert np.linalg.eigvalsh(rho)[0] >= -1e-12
+
+    def test_whole_truncation_three_lattice_in_bounded_memory(self):
+        """All 2,401 modes: only the contributing pairs are built, never M x M arrays."""
+        rng = np.random.default_rng(63)
+        side = 7
+        modes = np.stack(np.unravel_index(np.arange(side**4), (side,) * 4), axis=1) - 3
+        values = rng.normal(size=len(modes)) + 1j * rng.normal(size=len(modes))
+        values /= np.linalg.norm(values)
+        packet = WavePacket({tuple(m): v for m, v in zip(modes.tolist(), values.tolist())})
+        tracemalloc.start()
+        try:
+            rho = _averaged_qubit_density(packet, 0.4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
+        assert rho.trace().real == pytest.approx(1.0, abs=1e-12)
+
+    def test_pairs_reach_across_gaps_in_the_mode_keys(self):
+        """Coherence partners are found however sparse the (n0, n1, n2) keys are."""
+        r = 1.0 / math.sqrt(3.0)
+        packet = WavePacket({(-5, -4, 2, 0): r, (-5, -3, 3, 2): r * 1j, (7, 9, -8, 1): -r})
+        rho = _averaged_qubit_density(packet, 1.1)
+        c = packet.evolved_coefficients(1.1)
+        # Only (-5, -4, 2, 0) -> (-5, -3, 3, 2) couples: d3 = -2.
+        assert rho[0, 1] == pytest.approx(c[0] * np.conj(c[1]) / (2 * np.pi * 7.5), abs=1e-15)
 
 
 class TestPurity:
