@@ -37,11 +37,21 @@ from .qstate import (
 
 DEFAULT_SEED = 42
 DEFAULT_PHI = GateParams(0.0, 0.0, 0.0, np.pi)
+#: Largest ``samples`` for the sampled scenarios: ~10 s of ``xor`` and ~16 s
+#: of ``boolean-mn`` on one core, checked before any sample runs.
+MAX_SAMPLES = 100_000
 
 #: Closed-form value of the quarter-angle marginals:
 #: (1/2pi) integral of cos^2(phi/4) over a full turn is exactly 1/2,
 #: and the sin^2 marginal matches by symmetry.
 QUARTER_ANGLE_MARGINAL = 0.5
+
+
+def _capped(samples: int) -> int:
+    samples = int(samples)
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"samples must be at most {MAX_SAMPLES}, got {samples}")
+    return samples
 
 
 @dataclass(frozen=True)
@@ -65,6 +75,10 @@ class ScenarioReport:
     @property
     def passed(self) -> bool:
         return all(r.passed for r in self.records)
+
+    def check(self, description, expected, observed, tolerance) -> None:
+        """Record that |expected - observed| <= tolerance, elementwise."""
+        self.records.append(_record(description, expected, observed, tolerance))
 
     def counts(self) -> tuple[int, int]:
         """(passing, total) assertion counts."""
@@ -147,14 +161,9 @@ def table1_check() -> ScenarioReport:
         g = BooleanFunction.from_output_strings(list(rows))
         result = verify_truth_table(boolean_network_for(g), g, tol=1e-10)
         for case in result.cases:
-            report.records.append(
-                _record(
-                    f"{label}: input {case.input_bits} -> {case.expected_bits} "
-                    "with certainty",
-                    1.0,
-                    case.probability,
-                    1e-10,
-                )
+            report.check(
+                f"{label}: input {case.input_bits} -> {case.expected_bits} with certainty",
+                1.0, case.probability, 1e-10
             )
     return report
 
@@ -175,9 +184,7 @@ def table2_check(phi: GateParams | None = None) -> ScenarioReport:
         expected = np.zeros(4, dtype=np.complex128)
         expected[(0 << 1) | int(rows[0], 2)] = psi0
         expected[(1 << 1) | int(rows[1], 2)] = psi1
-        report.records.append(
-            _record(f"{label}: output ket", expected, state.amps, 1e-12)
-        )
+        report.check(f"{label}: output ket", expected, state.amps, 1e-12)
     return report
 
 
@@ -197,45 +204,23 @@ def complementarity_check(phi: GateParams | None = None) -> ScenarioReport:
     rotated = apply_single(state, HADAMARD, 2)
     joint = rotated.probabilities()
     report = ScenarioReport(f"complementarity[phi={_phi_tag(phi)}]")
-    report.records.append(
-        _record("joint weight on (0, +)", abs(psi0) ** 2, joint[0b00], 1e-10)
+    report.check("joint weight on (0, +)", abs(psi0) ** 2, joint[0b00], 1e-10)
+    report.check("joint weight on (1, -)", abs(psi1) ** 2, joint[0b11], 1e-10)
+    report.check(
+        "cross weights (0, -) and (1, +)", 0.0, max(float(joint[0b01]), float(joint[0b10])), 1e-10
     )
-    report.records.append(
-        _record("joint weight on (1, -)", abs(psi1) ** 2, joint[0b11], 1e-10)
-    )
-    report.records.append(
-        _record(
-            "cross weights (0, -) and (1, +)",
-            0.0,
-            max(float(joint[0b01]), float(joint[0b10])),
-            1e-10,
-        )
-    )
-    report.records.append(
-        _record(
-            "unconditional firing odds of the output",
-            0.5,
-            measure_probabilities(state, 2)[1],
-            1e-10,
-        )
+    report.check(
+        "unconditional firing odds of the output", 0.5, measure_probabilities(state, 2)[1], 1e-10
     )
     plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
     minus = np.array([1.0, -1.0]) / np.sqrt(2.0)
-    report.records.append(
-        _record(
-            "output conditioned on input 0 matches |+>",
-            1.0,
-            _conditional_fidelity(state, 1, 0, 2, plus),
-            1e-10,
-        )
+    report.check(
+        "output conditioned on input 0 matches |+>",
+        1.0, _conditional_fidelity(state, 1, 0, 2, plus), 1e-10
     )
-    report.records.append(
-        _record(
-            "output conditioned on input 1 matches |->",
-            1.0,
-            _conditional_fidelity(state, 1, 1, 2, minus),
-            1e-10,
-        )
+    report.check(
+        "output conditioned on input 1 matches |->",
+        1.0, _conditional_fidelity(state, 1, 1, 2, minus), 1e-10
     )
     return report
 
@@ -277,7 +262,7 @@ def xor_reflexivity_check(samples: int = 100, seed: int = DEFAULT_SEED) -> Scena
     output neuron fires with certainty for every angle tuple; the branch
     amplitudes stay exactly the single-neuron response amplitudes.
     """
-    samples = int(samples)
+    samples = _capped(samples)
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples}")
     rng = np.random.default_rng(seed)
@@ -300,25 +285,9 @@ def xor_reflexivity_check(samples: int = 100, seed: int = DEFAULT_SEED) -> Scena
         expected[0b1101] = psi1
         dev_amps = max(dev_amps, float(np.max(np.abs(state.amps - expected))))
     report = ScenarioReport(f"xor[samples={samples};seed={seed}]")
-    report.records.append(
-        _record("output neuron fires with certainty", 0.0, dev_fire, 1e-10)
-    )
-    report.records.append(
-        _record(
-            "middle layer confined to complementary patterns",
-            0.0,
-            dev_support,
-            1e-10,
-        )
-    )
-    report.records.append(
-        _record(
-            "branch amplitudes equal the single-neuron response",
-            0.0,
-            dev_amps,
-            1e-12,
-        )
-    )
+    report.check("output neuron fires with certainty", 0.0, dev_fire, 1e-10)
+    report.check("middle layer confined to complementary patterns", 0.0, dev_support, 1e-10)
+    report.check("branch amplitudes equal the single-neuron response", 0.0, dev_amps, 1e-12)
     return report
 
 
@@ -331,39 +300,20 @@ def hadamard_variant_check(phi: GateParams | None = None) -> ScenarioReport:
     middle = (idx >> 1) & 0b11
     off_support = (middle != 0b01) & (middle != 0b10)
     report = ScenarioReport(f"hadamard-variant[phi={_phi_tag(phi)}]")
-    report.records.append(
-        _record(
-            "output firing odds are even",
-            0.5,
-            measure_probabilities(state, 4)[1],
-            1e-10,
-        )
-    )
-    report.records.append(
-        _record(
-            "support confined to the two spread branches",
-            0.0,
-            float(state.probabilities()[off_support].sum()),
-            1e-10,
-        )
+    report.check("output firing odds are even", 0.5, measure_probabilities(state, 4)[1], 1e-10)
+    report.check(
+        "support confined to the two spread branches",
+        0.0, float(state.probabilities()[off_support].sum()), 1e-10
     )
     plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
     minus = np.array([1.0, -1.0]) / np.sqrt(2.0)
-    report.records.append(
-        _record(
-            "output conditioned on input 0 matches |+>",
-            1.0,
-            _conditional_fidelity(state, 1, 0, 4, plus),
-            1e-10,
-        )
+    report.check(
+        "output conditioned on input 0 matches |+>",
+        1.0, _conditional_fidelity(state, 1, 0, 4, plus), 1e-10
     )
-    report.records.append(
-        _record(
-            "output conditioned on input 1 matches |->",
-            1.0,
-            _conditional_fidelity(state, 1, 1, 4, minus),
-            1e-10,
-        )
+    report.check(
+        "output conditioned on input 1 matches |->",
+        1.0, _conditional_fidelity(state, 1, 1, 4, minus), 1e-10
     )
     return report
 
@@ -376,7 +326,7 @@ def boolean_mn_check(seed: int = DEFAULT_SEED, samples: int = 50) -> ScenarioRep
     own truth table under classical drive and confirming the m+n neuron
     layout.
     """
-    samples = int(samples)
+    samples = _capped(samples)
     if samples < 0:
         raise ValueError(f"samples must be non-negative, got {samples}")
     rng = np.random.default_rng(seed)
@@ -390,9 +340,7 @@ def boolean_mn_check(seed: int = DEFAULT_SEED, samples: int = 50) -> ScenarioRep
             layout_violations += 1
         result = verify_truth_table(net, g, tol=1e-10)
         worst = min(c.probability for c in result.cases)
-        report.records.append(
-            _record(f"{label}: classical drive lands on the table output", 1.0, worst, 1e-10)
-        )
+        report.check(f"{label}: classical drive lands on the table output", 1.0, worst, 1e-10)
 
     for code in range(16):
         outputs = tuple((code >> s) & 1 for s in range(4))
@@ -403,13 +351,9 @@ def boolean_mn_check(seed: int = DEFAULT_SEED, samples: int = 50) -> ScenarioRep
     for k in range(samples):
         outputs = tuple(int(v) for v in rng.integers(0, 8, size=8))
         check(BooleanFunction(3, 3, outputs), f"m=3 n=3 sample {k}")
-    report.records.append(
-        _record(
-            "every compiled network uses exactly m+n neurons in two layers",
-            0.0,
-            float(layout_violations),
-            0.5,
-        )
+    report.check(
+        "every compiled network uses exactly m+n neurons in two layers",
+        0.0, float(layout_violations), 0.5
     )
     return report
 
@@ -443,59 +387,28 @@ def averaged_dynamics_check(t_values=(0.0, 0.5, 3.7)) -> ScenarioReport:
         else:
             drift = max(drift, float(np.max(np.abs(mat - first))))
         tag = f"t={t:g}"
-        report.records.append(
-            _record(f"{tag}: unit trace", 1.0, float(np.trace(mat).real), 1e-9)
-        )
-        report.records.append(
-            _record(
-                f"{tag}: Hermitian entries",
-                0.0,
-                float(np.max(np.abs(mat - mat.conj().T))),
-                1e-10,
-            )
+        report.check(f"{tag}: unit trace", 1.0, float(np.trace(mat).real), 1e-9)
+        report.check(
+            f"{tag}: Hermitian entries", 0.0, float(np.max(np.abs(mat - mat.conj().T))), 1e-10
         )
         off = np.abs(mat).sum() - abs(mat[0, 0]) - abs(mat[3, 3])
-        report.records.append(
-            _record(
-                f"{tag}: weight confined to the agreeing branches 00 and 11",
-                0.0,
-                float(off),
-                1e-9,
-            )
+        report.check(
+            f"{tag}: weight confined to the agreeing branches 00 and 11", 0.0, float(off), 1e-9
         )
-        report.records.append(
-            _record(
-                f"{tag}: quiescent-branch weight equals the quarter-angle marginal",
-                QUARTER_ANGLE_MARGINAL,
-                float(mat[0, 0].real),
-                1e-6,
-            )
+        report.check(
+            f"{tag}: quiescent-branch weight equals the quarter-angle marginal",
+            QUARTER_ANGLE_MARGINAL, float(mat[0, 0].real), 1e-6
         )
-        report.records.append(
-            _record(
-                f"{tag}: firing-branch weight equals the quarter-angle marginal",
-                QUARTER_ANGLE_MARGINAL,
-                float(mat[3, 3].real),
-                1e-6,
-            )
+        report.check(
+            f"{tag}: firing-branch weight equals the quarter-angle marginal",
+            QUARTER_ANGLE_MARGINAL, float(mat[3, 3].real), 1e-6
         )
-        report.records.append(
-            _record(
-                f"{tag}: averaging mixes the state (purity of the balanced pair)",
-                2.0 * QUARTER_ANGLE_MARGINAL**2,
-                purity(rho),
-                1e-6,
-            )
+        report.check(
+            f"{tag}: averaging mixes the state (purity of the balanced pair)",
+            2.0 * QUARTER_ANGLE_MARGINAL**2, purity(rho), 1e-6
         )
     if len(t_values) > 1:
-        report.records.append(
-            _record(
-                "uniform packet is stationary: no drift across times",
-                0.0,
-                drift,
-                1e-10,
-            )
-        )
+        report.check("uniform packet is stationary: no drift across times", 0.0, drift, 1e-10)
     return report
 
 

@@ -18,6 +18,7 @@ for configuration or I/O problems.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -35,9 +36,9 @@ from .network import (
     NetworkSpec,
     UnitaryStep,
     _bit_strings,
+    _branch_rows,
     _checked_inputs,
-    branch_amplitudes,
-    run_history,
+    _history,
     verify_truth_table,
 )
 from .qstate import _entropy_bits
@@ -245,17 +246,6 @@ def _emit(text: str, out_path: str | None) -> None:
         raise OSError(f"cannot write {out_path}: {exc.strerror or exc}") from None
 
 
-def _csv_rows(header: list[str], rows: list[list[str]]) -> str:
-    import csv
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 def _phi(cfg: RunConfig) -> GateParams | None:
     return cfg.phis[0] if cfg.phis else None
 
@@ -290,13 +280,12 @@ def run_command(cfg: RunConfig) -> int:
                 f"need {len(inputs)} --phi values for input neurons {list(inputs)}, "
                 f"got {len(cfg.phis)}"
             )
-        state = run_history(net, cfg.phis, inputs)
-        # Bits and numbers never need CSV quoting, so rows are joined directly.
-        body = "".join(
-            f"{bits},{amp.real:.12g},{amp.imag:.12g}\n"
-            for bits, amp in branch_amplitudes(state, _RUN_THRESHOLD)
-        )
-        _emit("branch,re,im\n" + body, cfg.out_path)
+        idx, amps = _history(net, cfg.phis, inputs)
+        bits, amps = _branch_rows(idx, amps, net.n_neurons, _RUN_THRESHOLD)
+        # Bits and numbers never need CSV quoting, so one template fills every row.
+        cells = [None] * (3 * len(bits))
+        cells[::3], cells[1::3], cells[2::3] = bits, amps.real.tolist(), amps.imag.tolist()
+        _emit("branch,re,im\n" + "%s,%.12g,%.12g\n" * len(bits) % tuple(cells), cfg.out_path)
         return 0
 
     if cfg.command == "verify":
@@ -305,16 +294,12 @@ def run_command(cfg: RunConfig) -> int:
         net, _ = parse_network_config(_read_text(cfg.net_path))
         g = parse_truth_table(_read_text(cfg.fn_path))
         report = verify_truth_table(net, g)
-        rows = [
-            [
-                c.input_bits,
-                c.expected_bits,
-                f"{c.probability:.12g}",
-                "true" if c.passed else "false",
-            ]
+        body = "".join(
+            "%s,%s,%.12g,%s\n"
+            % (c.input_bits, c.expected_bits, c.probability, str(c.passed).lower())
             for c in report.cases
-        ]
-        _emit(_csv_rows(["input", "expected_output", "probability", "pass"], rows), cfg.out_path)
+        )
+        _emit("input,expected_output,probability,pass\n" + body, cfg.out_path)
         return 0 if report.passed else 1
 
     if cfg.command == "average":
@@ -333,24 +318,22 @@ def run_command(cfg: RunConfig) -> int:
                 f"got {len(packets)}"
             )
         n = net.n_neurons
-        header = ["t", "trace", "purity", "entropy_bits"] + [
-            "p_" + bits for bits in _bit_strings(np.arange(2**n), n)
-        ]
-        rows = []
+        columns = ["p_" + bits for bits in _bit_strings(np.arange(2**n), n)]
+        text = ",".join(["t,trace,purity,entropy_bits", *columns])
         for t in cfg.times:
             # The weights are the spectrum, so no 4^N matrix is needed.
-            w, states = averaged_ensemble(net, packets, t=t, input_neurons=inputs)
-            probs = np.clip(w @ np.abs(states) ** 2, 0.0, None)
-            rows.append(
-                [f"{t:.12g}", f"{w.sum():.12g}", f"{w @ w:.12g}", f"{_entropy_bits(w):.12g}"]
-                + [f"{p:.12g}" for p in probs]
-            )
-        _emit(_csv_rows(header, rows), cfg.out_path)
+            w, idx, amps = averaged_ensemble(net, packets, t=t, input_neurons=inputs)
+            probs = np.zeros(2**n)
+            probs[idx] = np.clip(w @ np.abs(amps) ** 2, 0.0, None)
+            row = (t, w.sum(), w @ w, _entropy_bits(w), *probs.tolist())
+            text += "\n" + ",".join(["%.12g"] * len(row)) % row
+        _emit(text + "\n", cfg.out_path)
         return 0
 
     raise ValueError(f"unknown command {cfg.command!r}")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qfnn",

@@ -33,6 +33,9 @@ _TWO_PI = 2.0 * math.pi
 _FOUR_PI_SQ = 4.0 * math.pi**2
 _NORM_ATOL = 1e-12
 _RENORM_WARN = 1e-6
+#: Largest |mode component| a packet takes: _mode_pairs packs the (n0, n1, n2)
+#: spans into one int64 key, which holds (2e6 + 2)^3 but not (2^21 + 2)^3.
+MAX_MODE_COMPONENT = 10**6
 
 
 def _check_mode(mode) -> ModeIndex:
@@ -48,6 +51,11 @@ def _check_mode(mode) -> ModeIndex:
             raise ValueError(f"mode component {k!r} is not an integer")
         out.append(int(k))
     return tuple(out)
+
+
+def _norm(values) -> float:
+    """sqrt(sum |v|^2) over complex values, scaled so that it cannot overflow."""
+    return math.hypot(*(x for v in values for x in (v.real, v.imag)))
 
 
 def _angles_of(phi) -> np.ndarray:
@@ -91,6 +99,10 @@ class WavePacket:
         items = []
         for mode, value in dict(coefficients).items():
             mode = _check_mode(mode)
+            if max(map(abs, mode)) > MAX_MODE_COMPONENT:
+                raise ValueError(
+                    f"mode {mode} has a component beyond {MAX_MODE_COMPONENT} in magnitude"
+                )
             value = complex(value)
             if not (math.isfinite(value.real) and math.isfinite(value.imag)):
                 raise ValueError(f"coefficient for mode {mode} must be finite")
@@ -100,7 +112,8 @@ class WavePacket:
         if len({mode for mode, _ in items}) != len(items):
             raise ValueError("duplicate modes in coefficient mapping")
         items.sort(key=lambda kv: kv[0])
-        norm_sq = sum(abs(v) ** 2 for _, v in items)
+        norm = _norm(v for _, v in items)
+        norm_sq = norm * norm
         if abs(norm_sq - 1.0) > _NORM_ATOL:
             raise ValueError(
                 f"coefficients are not normalized: sum |A|^2 = {norm_sq!r}"
@@ -157,7 +170,7 @@ class WavePacket:
         }
         if not kept:
             raise ValueError(f"no modes survive truncation to {n_max}")
-        norm = math.sqrt(sum(abs(v) ** 2 for v in kept.values()))
+        norm = _norm(kept.values())
         return WavePacket({m: v / norm for m, v in kept.items()}, truncation=n_max)
 
     @classmethod
@@ -236,12 +249,14 @@ def averaged_ensemble(
     packets: Sequence[WavePacket],
     t: float = 0.0,
     input_neurons: Sequence[int] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Network output averaged over the environment, as (weights, states).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Network output averaged over the environment, as (weights, idx, amps).
 
-    The averaged state is sum_k weights[k] |states[k]><states[k]|, with
-    ``states`` of shape (K, 2^N), K <= 2^len(packets).  Packets drive their
-    input neurons (default 1..len(packets)); other neurons start quiescent.
+    The averaged state is sum_k weights[k] |psi_k><psi_k|, K <= 2^len(packets),
+    where row k of ``amps`` (K, S) holds psi_k's amplitudes on the ascending
+    basis indices ``idx`` (S,), and psi_k is zero on every other branch.
+    Packets drive their input neurons (default 1..len(packets)); other
+    neurons start quiescent.
     As packets factor over angle blocks and steps ignore the angles, the
     average is U (x)_q rho_q U^dagger, rho_q being the exact per-neuron
     average at unit trace.  U is unitary, so the rho_q eigenvectors pushed
@@ -281,11 +296,11 @@ def averaged_ensemble(
     weights = np.prod([lam[pick] for lam, pick in zip(eigs, picks.T)], axis=0)
     keep = weights != 0.0
     columns = np.stack([v[pick] for v, pick in zip(vecs, picks[keep].T)], axis=1)
-    states = _run_steps(_product_state(columns, inputs, n), net)
-    norm_dev = float(np.max(np.abs((np.abs(states) ** 2).sum(axis=1) - 1.0)))
+    idx, amps = _run_steps(*_product_state(columns, inputs, n), net)
+    norm_dev = float(np.max(np.abs((np.abs(amps) ** 2).sum(axis=1) - 1.0)))
     if not norm_dev <= _NORM_ATOL:
         raise ValueError(f"ensemble state norms drifted by {norm_dev:g}")
-    return weights[keep], states
+    return weights[keep], np.arange(2**n) if idx is None else idx, amps
 
 
 def averaged_density(
@@ -295,8 +310,10 @@ def averaged_density(
     input_neurons: Sequence[int] | None = None,
 ) -> DensityMatrix:
     """Dense (4^N-entry) form of ``averaged_ensemble``, same arguments."""
-    weights, states = averaged_ensemble(net, packets, t, input_neurons)
-    return DensityMatrix(net.n_neurons, (states.T * weights) @ states.conj())
+    weights, idx, amps = averaged_ensemble(net, packets, t, input_neurons)
+    rho = np.zeros((2**net.n_neurons,) * 2, dtype=np.complex128)
+    rho[np.ix_(idx, idx)] = (amps.T * weights) @ amps.conj()
+    return DensityMatrix(net.n_neurons, rho)
 
 
 def purity(rho) -> float:
@@ -333,25 +350,29 @@ def parse_packet(text: str) -> WavePacket:
             raise ParseError(
                 f"mode components {parts[:4]} must be integers", line=lineno
             ) from None
+        if max(map(abs, mode)) > MAX_MODE_COMPONENT:
+            raise ParseError(
+                f"mode components {parts[:4]} exceed {MAX_MODE_COMPONENT} in magnitude",
+                line=lineno,
+            )
         try:
             value = complex(float(parts[4]), float(parts[5]))
         except ValueError:
             raise ParseError(
                 f"coefficient fields {parts[4:]} must be real numbers", line=lineno
             ) from None
+        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+            raise ParseError(f"coefficient fields {parts[4:]} must be finite", line=lineno)
         if mode in coeffs:
             raise ParseError(f"duplicate mode {mode}", line=lineno)
         coeffs[mode] = value
     if not coeffs:
         raise ParseError("packet file has no modes")
-    norm_sq = sum(abs(v) ** 2 for v in coeffs.values())
-    if norm_sq == 0.0:
+    norm = _norm(coeffs.values())
+    if norm == 0.0:
         raise ParseError("packet has zero norm")
-    if abs(norm_sq - 1.0) > _RENORM_WARN:
-        warnings.warn(
-            f"packet norm^2 was {norm_sq:.9g}; renormalizing to 1", stacklevel=2
-        )
-    norm = math.sqrt(norm_sq)
+    if abs(norm * norm - 1.0) > _RENORM_WARN:
+        warnings.warn(f"packet norm was {norm:.9g}; renormalizing to 1", stacklevel=2)
     return WavePacket({m: v / norm for m, v in coeffs.items()})
 
 

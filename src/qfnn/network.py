@@ -9,6 +9,7 @@ together in one state vector.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence, Union
@@ -24,10 +25,20 @@ from .gates import (
     is_unitary,
     u2_from_params,
 )
-from .qstate import MAX_QUBITS, StateVector
+from .qstate import MAX_QUBITS, StateVector, _check_unit_norm
 
 _BLOCK_TARGETS = 6  # targets per kron block of a unitary step: blocks stay <= 64x64
 _BATCH_AMPS = 2**22  # amplitudes (64 MB) per batch of classical truth-table drives
+# Full form up to this many amplitudes over all rows.  Measured on one core
+# of a 2-vCPU x86 machine, whole histories of small layered nets: at N=4 the
+# support form costs ~6 us more (58 against 52 us); from 2^10 amplitudes on
+# it is as fast or faster (N=10, K=16: 394 against 565 us).
+_DENSE_AMPS = 2**10
+# Full form once a step's support would cover 1/4 of the register: at N=18,
+# 4 shuffled boolean steps take 6.8 against 10.0 ms at S = 1/8 of it and
+# 10.8 against 8.4 ms at 1/4, and a 6-target block on the leading neurons
+# breaks even between 1/2 and 1/4.
+_SUPPORT_SHARE = 4
 
 
 @dataclass(frozen=True)
@@ -124,13 +135,14 @@ class NetworkSpec:
                 raise ValueError(f"step {i}: {exc}") from None
             if isinstance(step, BooleanStep):
                 flips = _flip_table(step.function.outputs, controls, step.targets, total)
-                plan.append((None, flips))
+                plan.append((None, (np.ascontiguousarray(flips), _branches(controls, total))))
                 continue
             pairs = sorted(zip(step.targets, step.gates), key=lambda p: p[0])
             for lo in range(0, len(pairs), _BLOCK_TARGETS):
                 chunk = pairs[lo : lo + _BLOCK_TARGETS]
+                targets = tuple(q for q, _ in chunk)
                 block = reduce(np.kron, [g for _, g in chunk])
-                plan.append((tuple(q for q, _ in chunk), block.T.copy()))
+                plan.append((targets, (block.T.copy(), _branches(targets, total))))
         object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "_plan", tuple(plan))
@@ -156,39 +168,104 @@ def _checked_inputs(input_neurons: Sequence[int], n_neurons: int) -> tuple[int, 
     return inputs
 
 
-def _product_state(columns: np.ndarray, inputs: Sequence[int], n: int) -> np.ndarray:
-    """(K, 2^n) product states: ``columns[k, j]`` on neuron ``inputs[j]``, |0> elsewhere."""
-    rows, top = len(columns), max(inputs, default=0)
-    driven = dict(zip(inputs, columns.swapaxes(0, 1)))
-    head = np.ones((rows, 1), dtype=np.complex128)
-    for q in range(1, top + 1):
-        v = driven.get(q, np.array([[1.0, 0.0]]))
-        head = (head[:, :, None] * v[:, None, :]).reshape(rows, -1)
-    amps = np.zeros((rows, 2**n), dtype=np.complex128)  # neurons past ``top`` stay |0>
-    amps[:, :: 2 ** (n - top)] = head
-    return amps
+def _branches(neurons: Sequence[int], n: int) -> np.ndarray:
+    """Ascending basis indices of every bit pattern on ``neurons``, |0> elsewhere.
+
+    A pattern's position reads the neurons' bits lowest neuron first, the
+    order of flip tables, kron blocks and basis indices alike.
+    """
+    idx = np.zeros(1, dtype=np.int64)
+    for q in sorted(neurons):
+        idx = (idx[:, None] | np.array([0, 1 << (n - q)])).reshape(-1)
+    return idx
 
 
-def _run_steps(amps: np.ndarray, net: NetworkSpec) -> np.ndarray:
-    """Push raw amplitudes, (2^N,) or (K, 2^N), through the compiled steps.
+def _product_state(columns: np.ndarray, inputs: Sequence[int], n: int):
+    """Support form of the product states with ``columns[k, j]`` on neuron
+    ``inputs[j]`` in row k and |0> on every other neuron; the full form
+    when every neuron is an input."""
+    amps = np.ones((len(columns), 1), dtype=np.complex128)
+    for _, j in sorted(zip(inputs, range(len(inputs)))):
+        amps = (amps[:, :, None] * columns[:, None, j]).reshape(len(columns), -1)
+    return None if len(inputs) == n else _branches(inputs, n), amps
 
-    Every step is unitary by construction (exact permutations, kron blocks
-    of gates unitary to 1e-12), so callers check the result once, on exit.
+
+def _dense(idx, amps: np.ndarray, n: int) -> np.ndarray:
+    """Full form (K, 2^n) of (K, S) amplitudes, zero off the support."""
+    if idx is None:
+        return amps
+    out = np.zeros((len(amps), 2**n), dtype=np.complex128)
+    out[:, idx] = amps
+    return out
+
+
+def _sorted(idx: np.ndarray, amps: np.ndarray):
+    if (idx[1:] >= idx[:-1]).all():
+        return idx, amps
+    order = np.argsort(idx, kind="stable")
+    return idx[order], amps[:, order]
+
+
+def _full_form_pays(rows: int, support: int, n: int) -> bool:
+    return rows << n <= _DENSE_AMPS or support * _SUPPORT_SHARE >= 1 << n
+
+
+def _run_steps(idx, amps: np.ndarray, net: NetworkSpec):
+    """Push (K, S) amplitudes on the ascending basis indices ``idx`` through the steps.
+
+    ``idx`` None is the full form, S = 2^N.  On the support a boolean step
+    relabels the branches, ``k ^ flips(k)``, and a kron block multiplies
+    each group of branches that share their other bits.  The runner goes
+    dense for small registers and once a support would cover 1/4 of the
+    register, and returns (idx, amps) in the form it ends in.  Every step is
+    unitary by construction, so callers check the result once, on exit.
     """
     n = net.n_neurons
-    for targets, table in net._plan:
-        if targets is None:
+    for targets, (table, patterns) in net._plan:
+        if idx is not None and _full_form_pays(len(amps), len(idx) << len(targets or ()), n):
+            idx, amps = None, _dense(idx, amps, n)
+        if targets is None and idx is None:
             # XOR is an involution: the image array is also the gather index.
-            amps = amps[..., _xor_permutation(table, n)]
-            continue
-        k = len(targets)
-        last = range(n + 1 - k, n + 1)
-        # Axis q of the batch-led tensor is neuron q; on trailing targets
-        # neither move copies.
-        moved = np.moveaxis(amps.reshape((-1,) + (2,) * n), targets, last)
-        out = (moved.reshape(-1, 2**k) @ table).reshape(moved.shape)
-        amps = np.moveaxis(out, last, targets).reshape(amps.shape)
-    return amps
+            amps = amps[:, _xor_permutation(table, n)]
+        elif targets is None:
+            flips = table.reshape(-1)[np.searchsorted(patterns, idx & patterns[-1])]
+            idx, amps = _sorted(idx ^ flips, amps)
+        elif idx is None:
+            k = len(targets)
+            last = range(n + 1 - k, n + 1)
+            # Axis q of the batch-led tensor is neuron q; on trailing targets
+            # neither move copies.
+            moved = np.moveaxis(amps.reshape((-1,) + (2,) * n), targets, last)
+            out = (moved.reshape(-1, 2**k) @ table).reshape(moved.shape)
+            amps = np.moveaxis(out, last, targets).reshape(amps.shape)
+        else:
+            keys = idx & ~patterns[-1]
+            if not (keys[1:] >= keys[:-1]).all():
+                order = np.argsort(keys, kind="stable")
+                idx, keys, amps = idx[order], keys[order], amps[:, order]
+            first = np.concatenate([[True], keys[1:] != keys[:-1]])
+            heads = keys[first]
+            buf = np.zeros((len(amps), len(heads), len(patterns)), dtype=np.complex128)
+            buf[:, np.cumsum(first) - 1, np.searchsorted(patterns, idx & patterns[-1])] = amps
+            out = (buf.reshape(-1, len(patterns)) @ table).reshape(len(amps), -1)
+            idx, amps = _sorted((heads[:, None] | patterns).reshape(-1), out)
+    return idx, amps
+
+
+def _history(net: NetworkSpec, phis: Sequence[GateParams], input_neurons: Sequence[int]):
+    """Support form (idx, amps) of one history's final state, checked finite and normalized."""
+    phis = list(phis)
+    inputs = tuple(input_neurons)
+    if len(phis) != len(inputs):
+        raise ValueError(
+            f"{len(phis)} angle tuples for {len(inputs)} input neurons; counts must match"
+        )
+    n = net.n_neurons
+    inputs = _checked_inputs(inputs, n)
+    columns = np.array([[u2_from_params(phi)[:, 0] for phi in phis]]).reshape(1, -1, 2)
+    idx, amps = _run_steps(*_product_state(columns, inputs, n), net)
+    _check_unit_norm(amps[0])
+    return idx, amps[0]
 
 
 def run_history(
@@ -201,22 +278,29 @@ def run_history(
     Every neuron starts quiescent; ``phis[k]`` excites ``input_neurons[k]``;
     the steps then fire in order.
     """
-    phis = list(phis)
-    inputs = tuple(input_neurons)
-    if len(phis) != len(inputs):
-        raise ValueError(
-            f"{len(phis)} angle tuples for {len(inputs)} input neurons; counts must match"
-        )
+    idx, amps = _history(net, phis, input_neurons)
     n = net.n_neurons
-    inputs = _checked_inputs(inputs, n)
-    columns = np.array([[u2_from_params(phi)[:, 0] for phi in phis]]).reshape(1, -1, 2)
-    return StateVector(n, _run_steps(_product_state(columns, inputs, n)[0], net))
+    if idx is None:
+        return StateVector._trusted(n, amps)
+    # numpy asks for 2 MB pages on large arrays, and each would be zeroed
+    # whole; an anonymous map zeroes only the 4 KB pages the support touches
+    # (N=24, 65,536 branches: ~1 ms against 40-170 ms).
+    full = np.frombuffer(mmap.mmap(-1, amps.itemsize << n), dtype=amps.dtype)
+    full[idx] = amps
+    return StateVector._trusted(n, full)
 
 
 def _bit_strings(indices: np.ndarray, n: int) -> list[str]:
     """Basis indices as n-digit bit strings, neuron 1 first, built in one numpy pass."""
     digits = ((indices[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8) + ord("0")
     return digits.view(f"S{n}").ravel().astype(f"U{n}").tolist()
+
+
+def _branch_rows(idx, amps: np.ndarray, n: int, threshold: float):
+    """(bit strings, amplitudes) of the branches with |amplitude| above ``threshold``."""
+    # hypot rounds as abs() does on one amplitude; np.abs on arrays can be an ulp off.
+    keep = np.flatnonzero(np.hypot(amps.real, amps.imag) > threshold)
+    return _bit_strings(keep if idx is None else idx[keep], n), amps[keep]
 
 
 def branch_amplitudes(
@@ -230,9 +314,8 @@ def branch_amplitudes(
     threshold = float(threshold)
     if threshold < 0.0:
         raise ValueError(f"threshold must be non-negative, got {threshold}")
-    # hypot rounds as abs() does on one amplitude; np.abs on arrays can be an ulp off.
-    keep = np.flatnonzero(np.hypot(state.amps.real, state.amps.imag) > threshold)
-    return list(zip(_bit_strings(keep, state.n_qubits), state.amps[keep].tolist()))
+    bits, amps = _branch_rows(None, state.amps, state.n_qubits, threshold)
+    return list(zip(bits, amps.tolist()))
 
 
 def boolean_network_for(g: BooleanFunction) -> NetworkSpec:
@@ -288,21 +371,30 @@ def verify_truth_table(
     n = net.n_neurons
     drives = np.array([u2_from_params(p)[:, 0] for p in (IDENTITY_PARAMS, NOT_PARAMS)])
     columns = drives[(np.arange(2**g.m)[:, None] >> np.arange(g.m - 1, -1, -1)) & 1]
-    rows = max(1, _BATCH_AMPS >> n)
-    cases = []
+    # A batch of drives spans at most 2^m input branches, doubled per unitary
+    # target; the runner goes dense only within _SUPPORT_SHARE of the support.
+    rotated = sum(len(targets) for targets, _ in net._plan if targets is not None)
+    rows = max(1, _BATCH_AMPS // min(2**n, _SUPPORT_SHARE << (g.m + rotated)))
+    expected = np.arange(2**g.m) << g.n | np.array(g.outputs)
+    probs = np.empty(2**g.m)
     for lo in range(0, 2**g.m, rows):
-        batch = _run_steps(_product_state(columns[lo : lo + rows], input_layer(net), n), net)
-        for s, amps in enumerate(batch, lo):
-            expected = (s << g.n) | g.outputs[s]
-            prob = float(np.abs(amps[expected]) ** 2)
-            cases.append(
-                TruthCase(
-                    input_bits=format(s, f"0{g.m}b"),
-                    expected_bits=format(g.outputs[s], f"0{g.n}b"),
-                    probability=prob,
-                    passed=abs(prob - 1.0) <= tol,
-                )
-            )
+        idx, amps = _run_steps(*_product_state(columns[lo : lo + rows], input_layer(net), n), net)
+        want, batch = expected[lo : lo + rows], np.arange(len(amps))
+        if idx is None:
+            hit = amps[batch, want]
+        else:
+            pos = np.minimum(np.searchsorted(idx, want), len(idx) - 1)
+            hit = np.where(idx[pos] == want, amps[batch, pos], 0.0)
+        probs[lo : lo + rows] = np.abs(hit) ** 2
+    cases = [
+        TruthCase(
+            input_bits=format(s, f"0{g.m}b"),
+            expected_bits=format(g.outputs[s], f"0{g.n}b"),
+            probability=prob,
+            passed=abs(prob - 1.0) <= tol,
+        )
+        for s, prob in enumerate(probs.tolist())
+    ]
     return TruthTableReport(cases=tuple(cases), tolerance=float(tol))
 
 

@@ -44,6 +44,16 @@ def _check_qubit_count(n_qubits: int) -> int:
     return n_qubits
 
 
+def _check_unit_norm(amps: np.ndarray) -> None:
+    """Raise ValueError unless the amplitudes are finite with unit norm (1e-10)."""
+    norm_sq = float(np.vdot(amps, amps).real)
+    if abs(norm_sq - 1.0) <= _NORM_ATOL:  # false for inf or nan too
+        return
+    if not np.all(np.isfinite(amps)):
+        raise ValueError("amplitudes must be finite")
+    raise ValueError(f"state vector is not normalized: |psi|^2 = {norm_sq!r}")
+
+
 def _bit_shift(n_qubits: int, qubit: int) -> int:
     """Shift that extracts 1-based ``qubit`` from a basis index (MSB-first)."""
     if not isinstance(qubit, (int, np.integer)):
@@ -76,15 +86,20 @@ class StateVector:
                 f"expected {2**n_qubits} amplitudes for {n_qubits} qubits, "
                 f"got shape {arr.shape}"
             )
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("amplitudes must be finite")
-        norm_sq = float(np.vdot(arr, arr).real)
-        if abs(norm_sq - 1.0) > _NORM_ATOL:
-            raise ValueError(f"state vector is not normalized: |psi|^2 = {norm_sq!r}")
+        _check_unit_norm(arr)
         arr = arr.copy()
         arr.setflags(write=False)
         self._n_qubits = n_qubits
         self._amps = arr
+
+    @classmethod
+    def _trusted(cls, n_qubits: int, amps: np.ndarray) -> "StateVector":
+        """Adopt a fresh (2**n,) array whose nonzero entries passed ``_check_unit_norm``."""
+        amps.setflags(write=False)
+        state = cls.__new__(cls)
+        state._n_qubits = n_qubits
+        state._amps = amps
+        return state
 
     @property
     def n_qubits(self) -> int:

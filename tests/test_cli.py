@@ -18,7 +18,10 @@ from qfnn import (
     branch_amplitudes,
     run_history,
 )
+from qfnn.analysis import MAX_SAMPLES
+from qfnn.environment import MAX_MODE_COMPONENT
 from qfnn.cli import (
+    _build_parser,
     main,
     parse_angle,
     parse_float_list,
@@ -181,6 +184,21 @@ class TestScenarioCommand:
         assert code == 0
         assert "xor[samples=5;seed=11]" in out
 
+    @pytest.mark.parametrize("name", ["xor", "boolean-mn"])
+    def test_samples_above_the_cap_exit_two_before_any_sample(self, name, capsys, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a sample ran")
+
+        monkeypatch.setattr("qfnn.analysis.run_history", forbidden)
+        monkeypatch.setattr("qfnn.analysis.verify_truth_table", forbidden)
+        code = main(["scenario", name, "--samples", "100000000000000000000"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == (
+            f"error: samples must be at most {MAX_SAMPLES}, got 100000000000000000000\n"
+        )
+        assert captured.out == ""
+
     def test_averaged_dynamics_with_times_and_grid(self, capsys):
         """Times are taken; the average is exact, so a --grid flag no longer exists."""
         code = main(["scenario", "averaged-dynamics", "--t", "0,0.5"])
@@ -271,7 +289,7 @@ class TestRunCommand:
         def exhausted(*args):
             raise exc
 
-        monkeypatch.setattr("qfnn.cli.run_history", exhausted)
+        monkeypatch.setattr("qfnn.cli._history", exhausted)
         net = tmp_path / "mirror.net"
         net.write_text(MIRROR_NET, encoding="utf-8")
         code = main(["run", "--net", str(net), "--phi", "0,0,0,pi"])
@@ -350,6 +368,53 @@ class TestAverageCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert "line 1" in err
+
+
+    def test_mode_component_beyond_the_limit_exits_two(self, tmp_path, capsys):
+        """4294967296 overflowed the int64 energies with a traceback."""
+        net = tmp_path / "mirror.net"
+        pk = tmp_path / "big.pk"
+        net.write_text(MIRROR_NET, encoding="utf-8")
+        pk.write_text("4294967296 0 0 0 1 0\n", encoding="utf-8")
+        code = main(["average", "--net", str(net), "--packet", str(pk)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: line 1: mode components")
+        assert f"exceed {MAX_MODE_COMPONENT}" in captured.err
+        assert captured.out == ""
+
+    def test_huge_coefficients_renormalize_without_overflow(self, tmp_path, capsys):
+        """1e308 1e308 overflowed the squared norm with a traceback."""
+        net = tmp_path / "mirror.net"
+        net.write_text(MIRROR_NET, encoding="utf-8")
+        (tmp_path / "huge.pk").write_text("0 0 1 0 1e308 1e308\n", encoding="utf-8")
+        r = 1.0 / math.sqrt(2.0)
+        (tmp_path / "unit.pk").write_text(f"0 0 1 0 {r} {r}\n", encoding="utf-8")
+        argv = ["average", "--net", str(net), "--t", "0,0.5", "--packet"]
+        assert main(argv + [str(tmp_path / "unit.pk")]) == 0
+        unit = capsys.readouterr().out
+        with pytest.warns(UserWarning, match="packet norm was 1.41421356e[+]308; renormalizing"):
+            assert main(argv + [str(tmp_path / "huge.pk")]) == 0
+        assert capsys.readouterr().out == unit
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_repeated_flags_do_not_pile_up_across_calls(self, tmp_path, capsys):
+        net = tmp_path / "mirror.net"
+        net.write_text(MIRROR_NET, encoding="utf-8")
+        runs = []
+        for phi in ("0,0,0,0", "0,0,0,pi", "0,0,0,0"):
+            assert main(["run", "--net", str(net), "--phi", phi]) == 0
+            runs.append(capsys.readouterr().out)
+        assert runs[0] == runs[2] != runs[1]
+        pk = tmp_path / "one.pk"
+        pk.write_text("0 0 0 0 1 0\n", encoding="utf-8")
+        for _ in range(2):
+            assert main(["average", "--net", str(net), "--packet", str(pk)]) == 0
+            assert capsys.readouterr().out.count("\n") == 2
 
 
 class TestModuleEntryPoint:

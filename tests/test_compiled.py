@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_oracle import permutation as oracle_permutation
 from qfnn import (
     HADAMARD,
     BooleanFunction,
@@ -27,7 +28,7 @@ from qfnn import (
     verify_truth_table,
 )
 from qfnn import network
-from qfnn.network import _run_steps
+from qfnn.network import _dense, _run_steps
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -35,19 +36,6 @@ PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 def oracle_single(amps, u, qubit, n_qubits):
     right = 1 << (n_qubits - qubit)
     return np.einsum("ab,lbr->lar", u, amps.reshape(-1, 2, right)).reshape(amps.shape)
-
-
-def oracle_permutation(step, n_qubits):
-    f = step.function
-    idx = np.arange(2**n_qubits, dtype=np.int64)
-    s = np.zeros_like(idx)
-    for j, q in enumerate(step.controls):
-        s |= ((idx >> (n_qubits - q)) & 1) << (f.m - 1 - j)
-    masks = np.asarray(f.outputs, dtype=np.int64)[s]
-    flips = np.zeros_like(idx)
-    for l, q in enumerate(step.targets):
-        flips |= ((masks >> (f.n - 1 - l)) & 1) << (n_qubits - q)
-    return idx ^ flips
 
 
 def oracle_steps(amps, net):
@@ -114,10 +102,11 @@ def test_batched_rows_equal_rows_run_one_by_one(net, rows, seed):
     rng = np.random.default_rng(seed)
     batch = rng.normal(size=(rows, 2**net.n_neurons)) + 1j * rng.normal(size=(rows, 2**net.n_neurons))
     batch /= np.linalg.norm(batch, axis=1, keepdims=True)
-    got = _run_steps(batch, net)
+    got = _dense(*_run_steps(None, batch, net), net.n_neurons)
     assert got.shape == batch.shape
     for row, amps in zip(got, batch):
-        np.testing.assert_allclose(row, _run_steps(amps, net), rtol=0, atol=1e-12)
+        one = _dense(*_run_steps(None, amps[None], net), net.n_neurons)
+        np.testing.assert_allclose(row, one[0], rtol=0, atol=1e-12)
     np.testing.assert_allclose(got, oracle_steps(batch, net), rtol=0, atol=1e-12)
 
 
@@ -154,9 +143,19 @@ def test_sliced_truth_table_drives_match_one_batch(monkeypatch):
     rng = np.random.default_rng(4)
     g = BooleanFunction(4, 3, rng.integers(0, 8, 16))
     net = boolean_network_for(g)
+    batches, runner = [], network._run_steps
+
+    def counted(idx, amps, net):
+        batches.append(len(amps))
+        return runner(idx, amps, net)
+
+    monkeypatch.setattr(network, "_run_steps", counted)
     whole = verify_truth_table(net, g)
-    monkeypatch.setattr(network, "_BATCH_AMPS", 3 * 2**net.n_neurons)
+    assert batches == [16]
+    # One drive per batch: each runs on the full form, the whole table on the support.
+    monkeypatch.setattr(network, "_BATCH_AMPS", 1)
     assert verify_truth_table(net, g) == whole
+    assert batches[1:] == [1] * 16
     assert whole.passed and len(whole.cases) == 16
 
 

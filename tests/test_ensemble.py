@@ -11,6 +11,7 @@ import math
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from qfnn import (
     synaptic_permutation,
     von_neumann_entropy,
 )
+from qfnn import network
 from qfnn.cli import main
 from qfnn.environment import _averaged_qubit_density
 
@@ -129,14 +131,30 @@ def test_dense_form_matches_conjugation_oracle(case):
 
 @PROPERTY
 @given(cases())
+def test_support_form_matches_conjugation_oracle(case):
+    """The same average with the runner held on the support form throughout."""
+    net, packets, t = case
+    expected, _ = dense_oracle(net, packets, t)
+    with mock.patch.object(network, "_full_form_pays", lambda *a: False):
+        weights, idx, amps = averaged_ensemble(net, packets, t=t)
+        got = averaged_density(net, packets, t=t).entries
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        expected.diagonal().real[idx], weights @ np.abs(amps) ** 2, rtol=0, atol=1e-12
+    )
+
+
+@PROPERTY
+@given(cases())
 def test_weights_are_the_product_of_input_spectra(case):
     net, packets, t = case
     expected, inputs = dense_oracle(net, packets, t)
-    weights, states = averaged_ensemble(net, packets, t=t)
+    weights, idx, amps = averaged_ensemble(net, packets, t=t)
     spectrum = np.ones(1)
     for r in inputs:
         spectrum = np.kron(spectrum, np.linalg.eigvalsh(r))
-    assert states.shape == (len(weights), 2**net.n_neurons)
+    assert amps.shape == (len(weights), len(idx))
+    assert np.all(np.diff(idx) > 0) and 0 <= idx[0] and idx[-1] < 2**net.n_neurons
     np.testing.assert_allclose(np.sort(weights), np.sort(spectrum), rtol=0, atol=1e-12)
     # Spectrum invariance: the network only rotates the product of the inputs.
     padded = np.concatenate([weights, np.zeros(expected.shape[0] - len(weights))])

@@ -17,6 +17,7 @@ from qfnn import (
     ParseError,
     WavePacket,
     averaged_density,
+    averaged_ensemble,
     boolean_network_for,
     eigenfunction,
     energy,
@@ -28,7 +29,7 @@ from qfnn import (
     run_history,
     von_neumann_entropy,
 )
-from qfnn.environment import _averaged_qubit_density
+from qfnn.environment import MAX_MODE_COMPONENT, _averaged_qubit_density
 from torus_oracle import (
     exact_density,
     gauss_legendre,
@@ -99,6 +100,20 @@ class TestWavePacket:
         assert u.truncation == 0
         s = WavePacket.single_mode((1, 2, 0, -1))
         assert s.coefficients == {(1, 2, 0, -1): 1.0 + 0.0j}
+
+    def test_mode_components_are_bounded_where_the_pair_keys_fit(self):
+        m = MAX_MODE_COMPONENT
+        with pytest.raises(ValueError, match=f"beyond {m}"):
+            WavePacket({(0, 0, 0, -m - 1): 1.0})
+        # The widest allowed spans on axes 0-2 still pack into int64 pair keys.
+        wide = WavePacket({(-m, -m, -m, 0): 0.6, (m, m - 1, m - 1, 0): 0.8j})
+        mirror = boolean_network_for(BooleanFunction(1, 1, (0, 1)))
+        weights, _, _ = averaged_ensemble(mirror, [wide])
+        assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_huge_coefficients_fail_the_norm_check_without_overflow(self):
+        with pytest.raises(ValueError, match="not normalized"):
+            WavePacket({(0, 0, 0, 0): 1e308 + 1e308j})
 
     def test_truncate_drops_and_renormalizes(self):
         p = WavePacket({(0, 0, 0, 0): 0.6, (4, 0, 0, 0): 0.8})
@@ -405,6 +420,22 @@ class TestPacketText:
             parse_packet("# empty\n")
         with pytest.raises(ParseError, match="zero norm"):
             parse_packet("0 0 0 0 0 0\n")
+
+    def test_mode_components_are_bounded(self):
+        with pytest.raises(ParseError, match="line 2: mode components"):
+            parse_packet("0 0 0 0 1 0\n0 0 -4294967296 0 1 0\n")
+        edge = parse_packet(f"{MAX_MODE_COMPONENT} 0 0 0 1 0\n")
+        assert edge.modes == [(MAX_MODE_COMPONENT, 0, 0, 0)]
+
+    def test_coefficients_must_be_finite(self):
+        with pytest.raises(ParseError, match="line 1: coefficient fields .* must be finite"):
+            parse_packet("0 0 0 0 inf 0\n")
+
+    def test_huge_coefficients_renormalize(self):
+        with pytest.warns(UserWarning, match="renormalizing"):
+            p = parse_packet("0 0 0 0 1e308 1e308\n1 0 0 0 -1e308 0\n")
+        r = 1.0 / math.sqrt(3.0)
+        assert p.coefficients == pytest.approx({(0, 0, 0, 0): r + 1j * r, (1, 0, 0, 0): -r})
 
 
 class TestRandomPacket:

@@ -1,0 +1,214 @@
+"""Property tests for the support-form step runner.
+
+The runner keeps (K, S) amplitudes on the S ascending basis indices a
+history can reach and switches to the full (K, 2^N) form when that pays.
+The oracle is the dense runner in ``dense_oracle.py``.  Each property runs
+with the form forced to support, forced to full, and chosen by the runner.
+"""
+
+import csv
+import tracemalloc
+from contextlib import contextmanager
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dense_oracle import product_state, run_dense
+from qfnn import (
+    HADAMARD,
+    BooleanFunction,
+    BooleanStep,
+    GateParams,
+    NetworkSpec,
+    UnitaryStep,
+    averaged_ensemble,
+    boolean_network_for,
+    random_packet,
+    run_history,
+    u2_from_params,
+    verify_truth_table,
+)
+from qfnn import network
+from qfnn.cli import main
+from qfnn.network import _dense, _product_state, _run_steps
+
+PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
+FORMS = ("support", "full", "auto")
+
+
+@contextmanager
+def form(name):
+    """Force the runner's form: 'support' never goes dense, 'full' at once."""
+    rules = {"support": lambda *a: False, "full": lambda *a: True}
+    if name not in rules:
+        yield
+        return
+    with mock.patch.object(network, "_full_form_pays", rules[name]):
+        yield
+
+
+angles = st.tuples(*[st.floats(0.0, 6.28)] * 4).map(lambda a: GateParams(*a))
+
+
+@st.composite
+def nets(draw):
+    """N <= 10, shuffled wiring, unordered unitary targets; at N >= 7 one spans 7+."""
+    n = draw(st.integers(2, 10))
+    steps = []
+    for _ in range(draw(st.integers(1, 4))):
+        order = draw(st.permutations(range(1, n + 1)))
+        if draw(st.booleans()):
+            m = draw(st.integers(1, min(n - 1, 6)))
+            k = draw(st.integers(1, min(n - m, 6)))
+            table = draw(st.lists(st.integers(0, 2**k - 1), min_size=2**m, max_size=2**m))
+            steps.append(BooleanStep(BooleanFunction(m, k, table), order[:m], order[m : m + k]))
+        else:
+            targets = order[: draw(st.integers(1, n))]
+            gates = [draw(st.sampled_from([HADAMARD, u2_from_params(draw(angles))])) for _ in targets]
+            steps.append(UnitaryStep(tuple(gates), targets))
+    if n >= 7:
+        order = draw(st.permutations(range(1, n + 1)))[: draw(st.integers(7, n))]
+        steps.append(UnitaryStep(tuple(u2_from_params(draw(angles)) for _ in order), order))
+    return NetworkSpec((n,), tuple(steps))
+
+
+def run(net, columns, inputs, name):
+    with form(name):
+        idx, amps = _run_steps(*_product_state(columns, inputs, net.n_neurons), net)
+    if idx is not None:
+        assert np.all(np.diff(idx) > 0)
+        assert amps.shape == (len(columns), len(idx))
+    return _dense(idx, amps, net.n_neurons)
+
+
+@pytest.mark.parametrize("name", FORMS)
+@PROPERTY
+@given(nets(), st.data())
+def test_product_inputs_match_the_dense_oracle(name, net, data):
+    n = net.n_neurons
+    inputs = data.draw(st.permutations(range(1, n + 1)))[: data.draw(st.integers(0, n))]
+    phis = [data.draw(angles) for _ in inputs]
+    columns = np.array([[u2_from_params(p)[:, 0] for p in phis]]).reshape(1, -1, 2)
+    expected = run_dense(product_state(columns, inputs, n), net)
+    np.testing.assert_allclose(run(net, columns, inputs, name), expected, rtol=0, atol=1e-12)
+    with form(name):
+        state = run_history(net, phis, inputs)
+    np.testing.assert_allclose(state.amps, expected[0], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", FORMS)
+@PROPERTY
+@given(nets(), st.integers(1, 6), st.integers(0, 2**32 - 1), st.data())
+def test_ensembles_match_the_dense_oracle(name, net, rows, seed, data):
+    """(K, S) rows of arbitrary input columns, some entries exactly zero."""
+    n = net.n_neurons
+    inputs = data.draw(st.permutations(range(1, n + 1)))[: data.draw(st.integers(1, n))]
+    rng = np.random.default_rng(seed)
+    columns = rng.normal(size=(rows, len(inputs), 2)) + 1j * rng.normal(size=(rows, len(inputs), 2))
+    columns[rng.random(columns.shape) < 0.2] = 0.0
+    expected = run_dense(product_state(columns, inputs, n), net)
+    np.testing.assert_allclose(run(net, columns, inputs, name), expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", FORMS)
+@PROPERTY
+@given(st.integers(2, 10), st.integers(0, 2**32 - 1))
+def test_hadamard_on_every_neuron_fills_the_register(name, n, seed):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, n))
+    order = tuple(int(q) for q in rng.permutation(np.arange(1, n + 1)))
+    steps = (
+        BooleanStep(BooleanFunction(m, n - m, rng.integers(0, 2 ** (n - m), 2**m)), order[:m], order[m:]),
+        UnitaryStep((HADAMARD,) * n, order),
+    )
+    net = NetworkSpec((n,), steps)
+    phis = [GateParams(*rng.uniform(0.0, 6.28, 4)) for _ in range(m)]
+    columns = np.array([[u2_from_params(p)[:, 0] for p in phis]]).reshape(1, -1, 2)
+    with form(name):
+        idx, _ = _run_steps(*_product_state(columns, order[:m], n), net)
+    assert idx is None or len(idx) == 2**n
+    expected = run_dense(product_state(columns, order[:m], n), net)
+    np.testing.assert_allclose(run(net, columns, order[:m], name), expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", FORMS)
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.integers(1, 4), st.integers(1, 4), st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_truth_table_probabilities_match_the_dense_oracle(name, m, n, rotate, wrong, seed):
+    """Also for a network wired to another table, whose expected branches it never reaches."""
+    rng = np.random.default_rng(seed)
+    g = BooleanFunction(m, n, rng.integers(0, 2**n, 2**m))
+    net = boolean_network_for(BooleanFunction(m, n, rng.integers(0, 2**n, 2**m)) if wrong else g)
+    if rotate:
+        net = NetworkSpec(net.layers, net.steps + (UnitaryStep((HADAMARD,), (m + n,)),))
+    with form(name):
+        report = verify_truth_table(net, g)
+    for s, case in enumerate(report.cases):
+        columns = np.array([[1.0, 0.0] if (s >> (m - 1 - j)) & 1 == 0 else [0.0, 1.0] for j in range(m)])
+        amps = run_dense(product_state(columns[None], range(1, m + 1), m + n), net)[0]
+        expected = abs(amps[(s << n) | g.outputs[s]]) ** 2
+        assert case.probability == pytest.approx(expected, abs=1e-12)
+        assert case.passed == (abs(case.probability - 1.0) <= report.tolerance)
+
+
+def layered(layers, seed):
+    """Random boolean layers with a Hadamard on every neuron of the last one."""
+    rng = np.random.default_rng(seed)
+    bounds = np.cumsum((0,) + tuple(layers))
+    neurons = [tuple(range(bounds[k] + 1, bounds[k + 1] + 1)) for k in range(len(layers))]
+    steps = [
+        BooleanStep(BooleanFunction(a, b, rng.integers(0, 2**b, 2**a)), neurons[k], neurons[k + 1])
+        for k, (a, b) in enumerate(zip(layers, layers[1:]))
+    ]
+    steps.append(UnitaryStep((HADAMARD,) * layers[-1], neurons[-1]))
+    return NetworkSpec(tuple(layers), tuple(steps)), rng
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_at_n24_lists_branches_without_a_dense_state(tmp_path):
+    """(8, 8, 8): 65,536 branches; one dense 2^24 state alone would be 256 MB."""
+    net, rng = layered((8, 8, 8), 24)
+    text = "layers = [8, 8, 8]\n"
+    for step in net.steps[:2]:
+        rows = ", ".join(f"{s:08b} -> {v:08b}" for s, v in enumerate(step.function.outputs))
+        text += (
+            f"[step]\nkind = boolean\ncontrols = {list(step.controls)}\n"
+            f"targets = {list(step.targets)}\ntable = {rows}\n"
+        )
+    text += "[step]\nkind = post_unitary\ntargets = [17, 18, 19, 20, 21, 22, 23, 24]\ngate = hadamard\n"
+    (tmp_path / "n24.net").write_text(text)
+    phis = [",".join(map(repr, rng.uniform(0.0, 6.28, 4).tolist())) for _ in range(8)]
+    out = tmp_path / "run.csv"
+    argv = ["run", "--net", str(tmp_path / "n24.net"), *(f"--phi={p}" for p in phis), "--out", str(out)]
+    code, peak = traced_peak(lambda: main(argv))
+    assert code == 0
+    assert peak < 64 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
+    rows = list(csv.reader(out.open()))[1:]
+    assert len(rows) == 2**16
+    first = net.steps[0].function.outputs
+    for bits, _, _ in rows[:: 2**8]:
+        assert int(bits[8:16], 2) == first[int(bits[:8], 2)]
+    assert sorted({bits[16:] for bits, _, _ in rows}) == [format(v, "08b") for v in range(2**8)]
+    assert sum(float(re) ** 2 + float(im) ** 2 for _, re, im in rows) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_ensemble_at_n16_holds_only_the_support():
+    """(8, 4, 4), eight 8-mode packets: K = 256 dense rows would be 256 MB."""
+    net, rng = layered((8, 4, 4), 16)
+    packets = [random_packet(3, 8, rng) for _ in range(8)]
+    (weights, idx, amps), peak = traced_peak(lambda: averaged_ensemble(net, packets, t=0.4))
+    assert peak < 64 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
+    assert amps.shape == (len(weights), len(idx)) and len(idx) == 2**12
+    assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose((np.abs(amps) ** 2).sum(axis=1), 1.0, rtol=0, atol=1e-12)
