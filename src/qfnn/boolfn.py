@@ -68,7 +68,7 @@ class BooleanFunction:
         n = len(rows[0])
         if n < 1 or any(len(r) != n for r in rows):
             raise ValueError("output strings must all have the same nonzero length")
-        if any(ch not in "01" for r in rows for ch in r):
+        if any(r.strip("01") for r in rows):
             raise ValueError("output strings may only contain 0 and 1")
         return cls(count.bit_length() - 1, n, tuple(int(r, 2) for r in rows))
 
@@ -80,7 +80,7 @@ class BooleanFunction:
 
     def value_bits(self, bits: str) -> str:
         """g applied to a bit string, returned as a bit string."""
-        if len(bits) != self.m or any(ch not in "01" for ch in bits):
+        if len(bits) != self.m or bits.strip("01"):
             raise ValueError(f"expected an {self.m}-bit input string, got {bits!r}")
         return format(self.outputs[int(bits, 2)], f"0{self.n}b")
 
@@ -240,7 +240,7 @@ def parse_truth_table(text: str) -> BooleanFunction:
         left, _, right = line.partition("->")
         inp, out = left.strip(), right.strip()
         for part, which in ((inp, "input"), (out, "output")):
-            if not part or any(ch not in "01" for ch in part):
+            if not part or part.strip("01"):
                 raise ParseError(
                     f"{which} {part!r} is not a binary string", line=lineno
                 )

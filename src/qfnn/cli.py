@@ -35,7 +35,7 @@ from .network import (
     BooleanStep,
     NetworkSpec,
     UnitaryStep,
-    _bit_strings,
+    _bit_digits,
     _branch_rows,
     _checked_inputs,
     _history,
@@ -44,6 +44,10 @@ from .network import (
 from .qstate import _entropy_bits
 
 _RUN_THRESHOLD = 1e-12
+_G12_WIDTH = 20  # bytes per ``_g12`` cell; the longest ``%.12g`` of a float64 takes 19
+#: Largest ``average`` CSV built, in bytes: building takes about 4x the text (one
+#: time at N=21: 55 MB, 240 MB resident), and a 1->23 net needs 0.5 GB of text.
+_AVERAGE_CSV_BUDGET = 64 << 20
 
 
 def parse_angle(token: str) -> float:
@@ -235,6 +239,26 @@ def _read_text(path: str) -> str:
         raise OSError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
+def _g12(values) -> np.ndarray:
+    """``b"%.12g" % v`` per float64, space-padded: shape ``values.shape + (20,)``.
+
+    Steps permute amplitudes and scale them by a few gate entries, so values
+    repeat: each distinct bit pattern (-0.0 prints ``-0``) is formatted once.
+    """
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    text = b"%-20.12g" * len(keys) % tuple(keys.view(np.float64).tolist())
+    return np.frombuffer(text, np.uint8).reshape(-1, _G12_WIDTH)[inverse.reshape(values.shape)]
+
+
+def _csv_lines(cells: np.ndarray) -> bytes:
+    """CSV lines from (rows, columns, width) ASCII ``cells``: each cell's last byte takes
+    its comma or newline, NUL and space padding is dropped (no text holds a space)."""
+    cells[..., -1] = ord(",")
+    cells[:, -1, -1] = ord("\n")
+    return cells.tobytes().translate(None, b"\0 ")
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
@@ -280,12 +304,12 @@ def run_command(cfg: RunConfig) -> int:
                 f"need {len(inputs)} --phi values for input neurons {list(inputs)}, "
                 f"got {len(cfg.phis)}"
             )
-        idx, amps = _history(net, cfg.phis, inputs)
-        bits, amps = _branch_rows(idx, amps, net.n_neurons, _RUN_THRESHOLD)
-        # Bits and numbers never need CSV quoting, so one template fills every row.
-        cells = [None] * (3 * len(bits))
-        cells[::3], cells[1::3], cells[2::3] = bits, amps.real.tolist(), amps.imag.tolist()
-        _emit("branch,re,im\n" + "%s,%.12g,%.12g\n" * len(bits) % tuple(cells), cfg.out_path)
+        n = net.n_neurons
+        bits, amps = _branch_rows(*_history(net, cfg.phis, inputs), n, _RUN_THRESHOLD)
+        cells = np.zeros((len(amps), 3, max(n + 1, _G12_WIDTH)), np.uint8)
+        cells[:, 0, :n] = bits
+        cells[:, 1:, :_G12_WIDTH] = _g12(amps.view(np.float64).reshape(-1, 2))
+        _emit((b"branch,re,im\n" + _csv_lines(cells)).decode(), cfg.out_path)
         return 0
 
     if cfg.command == "verify":
@@ -294,18 +318,24 @@ def run_command(cfg: RunConfig) -> int:
         net, _ = parse_network_config(_read_text(cfg.net_path))
         g = parse_truth_table(_read_text(cfg.fn_path))
         report = verify_truth_table(net, g)
-        body = "".join(
-            "%s,%s,%.12g,%s\n"
-            % (c.input_bits, c.expected_bits, c.probability, str(c.passed).lower())
-            for c in report.cases
-        )
-        _emit("input,expected_output,probability,pass\n" + body, cfg.out_path)
+        width = max(g.m + 1, g.n + 1, _G12_WIDTH)
+        texts = [(c.input_bits, c.expected_bits, "", str(c.passed).lower()) for c in report.cases]
+        cells = np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(len(texts), 4, width)
+        cells[:, 2, :_G12_WIDTH] = _g12([c.probability for c in report.cases])
+        body = _csv_lines(cells)
+        _emit((b"input,expected_output,probability,pass\n" + body).decode(), cfg.out_path)
         return 0 if report.passed else 1
 
     if cfg.command == "average":
         if cfg.net_path is None:
             raise ValueError("average needs --net")
         net, inputs = parse_network_config(_read_text(cfg.net_path))
+        n = net.n_neurons
+        # 2^N columns of N + 3 header bytes ("p_", bits, comma), 2+ ("0,") per time.
+        needed = 2**n * (n + 3 + 2 * len(cfg.times))
+        if needed > _AVERAGE_CSV_BUDGET:
+            raise ValueError(f"average output for {n} neurons at {len(cfg.times)} time(s) needs "
+                             f"at least {needed} bytes of CSV; the limit is {_AVERAGE_CSV_BUDGET}")
         if cfg.packet_paths:
             packets = [parse_packet(_read_text(p)) for p in cfg.packet_paths]
         else:
@@ -317,17 +347,17 @@ def run_command(cfg: RunConfig) -> int:
                 f"need {len(inputs)} packets for input neurons {list(inputs)}, "
                 f"got {len(packets)}"
             )
-        n = net.n_neurons
-        columns = ["p_" + bits for bits in _bit_strings(np.arange(2**n), n)]
-        text = ",".join(["t,trace,purity,entropy_bits", *columns])
+        columns = np.full((1, 2**n, n + 3), ord("p"), np.uint8)  # "p_", the bits, a free byte
+        columns[..., 1], columns[0, :, 2:-1] = ord("_"), _bit_digits(np.arange(2**n), n)
+        lines = [b"t,trace,purity,entropy_bits," + _csv_lines(columns)]
         for t in cfg.times:
             # The weights are the spectrum, so no 4^N matrix is needed.
             w, idx, amps = averaged_ensemble(net, packets, t=t, input_neurons=inputs)
-            probs = np.zeros(2**n)
-            probs[idx] = np.clip(w @ np.abs(amps) ** 2, 0.0, None)
-            row = (t, w.sum(), w @ w, _entropy_bits(w), *probs.tolist())
-            text += "\n" + ",".join(["%.12g"] * len(row)) % row
-        _emit(text + "\n", cfg.out_path)
+            row = np.zeros((1, 4 + 2**n))
+            row[0, :4] = t, w.sum(), w @ w, _entropy_bits(w)
+            row[0, 4 + idx] = np.clip(w @ np.abs(amps) ** 2, 0.0, None)
+            lines.append(_csv_lines(_g12(row)))
+        _emit(b"".join(lines).decode(), cfg.out_path)
         return 0
 
     raise ValueError(f"unknown command {cfg.command!r}")
@@ -391,9 +421,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    times = getattr(args, "t", (0.0,))
-    if isinstance(times, (int, float)):
-        times = (float(times),)
     return RunConfig(
         command=args.command,
         scenario=getattr(args, "name", None),
@@ -404,7 +431,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         seed=getattr(args, "seed", analysis.DEFAULT_SEED),
         samples=getattr(args, "samples", 100),
         n_max=getattr(args, "nmax", None),
-        times=tuple(times),
+        times=tuple(getattr(args, "t", (0.0,))),
         out_path=getattr(args, "out", None),
     )
 

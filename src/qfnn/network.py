@@ -290,17 +290,17 @@ def run_history(
     return StateVector._trusted(n, full)
 
 
-def _bit_strings(indices: np.ndarray, n: int) -> list[str]:
-    """Basis indices as n-digit bit strings, neuron 1 first, built in one numpy pass."""
-    digits = ((indices[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8) + ord("0")
-    return digits.view(f"S{n}").ravel().astype(f"U{n}").tolist()
+def _bit_digits(indices: np.ndarray, n: int) -> np.ndarray:
+    """Basis indices (< 2^32) as rows of an (S, n) matrix of ASCII bits, neuron 1 first."""
+    octets = indices.astype(">u4").view(np.uint8).reshape(-1, 4)
+    return np.unpackbits(octets, axis=1)[:, 32 - n :] + np.uint8(ord("0"))
 
 
 def _branch_rows(idx, amps: np.ndarray, n: int, threshold: float):
-    """(bit strings, amplitudes) of the branches with |amplitude| above ``threshold``."""
+    """(``_bit_digits``, amplitudes) of the branches with |amplitude| above ``threshold``."""
     # hypot rounds as abs() does on one amplitude; np.abs on arrays can be an ulp off.
     keep = np.flatnonzero(np.hypot(amps.real, amps.imag) > threshold)
-    return _bit_strings(keep if idx is None else idx[keep], n), amps[keep]
+    return _bit_digits(keep if idx is None else idx[keep], n), amps[keep]
 
 
 def branch_amplitudes(
@@ -315,7 +315,7 @@ def branch_amplitudes(
     if threshold < 0.0:
         raise ValueError(f"threshold must be non-negative, got {threshold}")
     bits, amps = _branch_rows(None, state.amps, state.n_qubits, threshold)
-    return list(zip(bits, amps.tolist()))
+    return list(zip(bits.view(f"S{state.n_qubits}").ravel().astype(str).tolist(), amps.tolist()))
 
 
 def boolean_network_for(g: BooleanFunction) -> NetworkSpec:

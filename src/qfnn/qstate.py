@@ -183,7 +183,7 @@ def basis_state(n_qubits: int, bits: str) -> StateVector:
         raise ValueError(
             f"bit string {bits!r} has length {len(bits)}, expected {n_qubits}"
         )
-    if any(ch not in "01" for ch in bits):
+    if bits.strip("01"):
         raise ValueError(f"bit string {bits!r} may only contain 0 and 1")
     amps = np.zeros(2**n_qubits, dtype=np.complex128)
     amps[int(bits, 2)] = 1.0

@@ -6,10 +6,13 @@ import math
 import re
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import csv_oracle
 from qfnn import (
     IDENTITY_PARAMS,
     ParseError,
@@ -396,6 +399,36 @@ class TestAverageCommand:
         with pytest.warns(UserWarning, match="packet norm was 1.41421356e[+]308; renormalizing"):
             assert main(argv + [str(tmp_path / "huge.pk")]) == 0
         assert capsys.readouterr().out == unit
+
+    def test_output_past_the_size_limit_exits_two_before_any_work(self, tmp_path, capsys):
+        """A 1->23 net writes 2^24 probability columns: 0.5 GB of CSV from several GB."""
+        net = tmp_path / "wide.net"
+        net.write_text("layers = [1, 23]\n", encoding="utf-8")
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            code = main(["average", "--net", str(net)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        needed = 2**24 * (24 + 3 + 2)
+        assert captured.err.startswith("error: average output for 24 neurons at 1 time(s) ")
+        assert f"needs at least {needed} bytes" in captured.err
+        assert elapsed < 1.0 and peak < 2**20, (elapsed, peak)
+
+    def test_output_under_the_size_limit_matches_the_per_value_templates(self, tmp_path, capsys):
+        """A 1->19 net (2^20 columns, 26 MB) still runs, byte for byte as the templates wrote."""
+        net = tmp_path / "wide.net"
+        net.write_text("layers = [1, 19]\n", encoding="utf-8")
+        out = tmp_path / "wide.csv"
+        assert main(["average", "--net", str(net), "--out", str(out)]) == 0
+        spec, inputs = parse_network_config("layers = [1, 19]\n")
+        expected = csv_oracle.average_csv(spec, [WavePacket.uniform()], (0.0,), inputs)
+        assert out.read_text(encoding="utf-8") == expected
 
 
 class TestParserReuse:

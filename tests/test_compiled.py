@@ -30,7 +30,7 @@ from qfnn import (
 from qfnn import network
 from qfnn.network import _dense, _run_steps
 
-PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
+PROPERTY = settings(max_examples=40)
 
 
 def oracle_single(amps, u, qubit, n_qubits):
@@ -160,7 +160,11 @@ def test_sliced_truth_table_drives_match_one_batch(monkeypatch):
 
 
 def test_n20_history_peaks_at_three_state_buffers():
-    """Bench-shaped N=20 net: one 2^20 state is 16 MB; the parent peaked at 64 MB."""
+    """Bench-shaped N=20 net: one 2^20 state is 16 MB; the dense runner peaked at 64 MB.
+
+    tracemalloc does not see the result's mmap-backed buffer, so its bytes are
+    added to the traced peak; the traced part alone is the support arrays.
+    """
     rng = np.random.default_rng(20)
     layers = (8, 6, 6)
     steps = (
@@ -176,5 +180,7 @@ def test_n20_history_peaks_at_three_state_buffers():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * 16 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
+    assert peak < 8 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
+    total = peak + state.amps.nbytes
+    assert total <= 3 * 16 * 2**20, f"traced peak plus result {total / 2**20:.1f} MB"
     assert float(np.vdot(state.amps, state.amps).real) == pytest.approx(1.0, abs=1e-12)

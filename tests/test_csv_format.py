@@ -1,0 +1,163 @@
+"""The CLI's number formatter and CSV bodies against the per-value templates.
+
+``cli._g12`` formats each distinct float64 bit pattern once; these
+properties hold it, and the ``run``, ``verify`` and ``average`` CSVs built
+on it, to the ``%.12g`` templates kept in ``csv_oracle.py``.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import csv_oracle
+from qfnn import (
+    BooleanFunction,
+    BooleanStep,
+    GateParams,
+    NetworkSpec,
+    UnitaryStep,
+    WavePacket,
+    fixed_gate,
+    format_packet,
+    format_truth_table,
+    parse_packet,
+    random_packet,
+)
+from qfnn.cli import _G12_WIDTH, _g12, main, parse_network_config
+
+SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e300, -1e300,
+            1e-300, -1e-300, 1.0, -1.0, math.inf, -math.inf, math.nan]
+numbers = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(SPECIALS)
+
+
+@st.composite
+def float_arrays(draw):
+    """Rows of 1-3 columns, drawn mostly from a small pool so that values repeat."""
+    pool = draw(st.lists(numbers, min_size=1, max_size=6))
+    values = draw(st.lists(st.sampled_from(pool) | numbers, max_size=60))
+    cols = draw(st.integers(1, 3))
+    return np.array(values[: len(values) // cols * cols], dtype=np.float64).reshape(-1, cols)
+
+
+def texts(cells):
+    return [bytes(c).rstrip(b" ") for c in cells.reshape(-1, _G12_WIDTH)]
+
+
+@settings(max_examples=200)
+@given(float_arrays())
+def test_g12_is_per_value_formatting(values):
+    cells = _g12(values)
+    assert cells.shape == values.shape + (_G12_WIDTH,)
+    assert np.all(cells[..., -1] == ord(" "))
+    assert texts(cells) == [b"%.12g" % v for v in values.ravel().tolist()]
+
+
+@settings(max_examples=50)
+@given(st.lists(st.floats(allow_nan=False), unique=True, max_size=200))
+def test_g12_on_all_distinct_values(values):
+    assert texts(_g12(values)) == [b"%.12g" % v for v in values]
+
+
+def test_g12_keeps_the_sign_of_zero():
+    assert texts(_g12([0.0, -0.0, 0.0, -0.0])) == [b"0", b"-0", b"0", b"-0"]
+
+
+angles = st.tuples(*[st.floats(0.0, 6.28)] * 4).map(lambda a: GateParams(*a))
+
+
+@st.composite
+def layered_nets(draw, max_layers=3):
+    """Random tables layer to layer (N <= 10), fixed gates on random neurons."""
+    layers = draw(
+        st.lists(st.integers(1, 4), min_size=2, max_size=max_layers).filter(lambda w: sum(w) <= 10)
+    )
+    bounds = np.cumsum([0] + layers)
+    neurons = [list(range(bounds[k] + 1, bounds[k + 1] + 1)) for k in range(len(layers))]
+    steps = []
+    for k in range(len(layers) - 1):
+        m, n = layers[k], layers[k + 1]
+        table = draw(st.lists(st.integers(0, 2**n - 1), min_size=2**m, max_size=2**m))
+        steps.append(BooleanStep(BooleanFunction(m, n, table), neurons[k], neurons[k + 1]))
+        targets = draw(st.lists(st.sampled_from(range(1, bounds[-1] + 1)), unique=True))
+        if targets:
+            name = draw(st.sampled_from(["hadamard", "not", "identity"]))
+            steps.append(UnitaryStep((fixed_gate(name),) * len(targets), targets))
+    return NetworkSpec(layers, tuple(steps))
+
+
+def config_text(net):
+    """Network config text for ``qfnn`` that reproduces ``net``."""
+    names = {fixed_gate(name).tobytes(): name for name in ("hadamard", "not", "identity")}
+    text = f"layers = {list(net.layers)}\n"
+    for step in net.steps:
+        if isinstance(step, BooleanStep):
+            table = ", ".join(format_truth_table(step.function).splitlines())
+            text += (f"[step]\nkind = boolean\ncontrols = {list(step.controls)}\n"
+                     f"targets = {list(step.targets)}\ntable = {table}\n")
+        else:
+            name = names[step.gates[0].tobytes()]
+            text += f"[step]\nkind = post_unitary\ntargets = {list(step.targets)}\ngate = {name}\n"
+    return text
+
+
+def phi_arg(phi):
+    return "--phi=" + ",".join(repr(a) for a in (phi.phi0, phi.phi1, phi.phi2, phi.phi3))
+
+
+@settings(max_examples=40)
+@given(layered_nets(), st.data())
+def test_run_csv_is_the_per_value_template(tmp_path_factory, net, data):
+    path = tmp_path_factory.mktemp("run") / "net.cfg"
+    path.write_text(config_text(net))
+    _, inputs = parse_network_config(path.read_text())
+    phis = [data.draw(angles) for _ in inputs]
+    out = path.with_suffix(".csv")
+    assert main(["run", "--net", str(path), *map(phi_arg, phis), "--out", str(out)]) == 0
+    assert out.read_text() == csv_oracle.run_csv(net, phis, inputs)
+
+
+def test_run_csv_prints_negative_zero(tmp_path):
+    """Two inputs with phi2 = 0 multiply to an amplitude whose imaginary part is -0.0."""
+    path = tmp_path / "pair.cfg"
+    path.write_text("layers = [2, 1]\n")
+    phis = [GateParams(0.0, 0.0, 0.0, 1.0), GateParams(0.0, 0.0, 0.0, 2.0)]
+    out = tmp_path / "pair.csv"
+    assert main(["run", "--net", str(path), *map(phi_arg, phis), "--out", str(out)]) == 0
+    text = out.read_text()
+    assert text.splitlines()[-1].endswith(",-0") and ",0\n" in text
+    assert text == csv_oracle.run_csv(parse_network_config(path.read_text())[0], phis, (1, 2))
+
+
+@settings(max_examples=30)
+@given(layered_nets(max_layers=2), st.data())
+def test_verify_csv_is_the_per_value_template(tmp_path_factory, net, data):
+    m, n = net.layers
+    table = data.draw(st.lists(st.integers(0, 2**n - 1), min_size=2**m, max_size=2**m))
+    g = BooleanFunction(m, n, table)
+    d = tmp_path_factory.mktemp("verify")
+    (d / "net.cfg").write_text(config_text(net))
+    (d / "g.fn").write_text(format_truth_table(g))
+    out = d / "o.csv"
+    main(["verify", "--net", str(d / "net.cfg"), "--fn", str(d / "g.fn"), "--out", str(out)])
+    assert out.read_text() == csv_oracle.verify_csv(net, g)
+
+
+@settings(max_examples=25)
+@given(layered_nets(), st.data())
+def test_average_csv_is_the_per_value_template(tmp_path_factory, net, data):
+    d = tmp_path_factory.mktemp("average")
+    (d / "net.cfg").write_text(config_text(net))
+    _, inputs = parse_network_config(config_text(net))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    packets = [data.draw(st.sampled_from([WavePacket.uniform(), random_packet(2, 4, rng)]))
+               for _ in inputs]
+    times = data.draw(st.lists(st.floats(0.0, 5.0), min_size=1, max_size=3))
+    argv = ["average", "--net", str(d / "net.cfg"), "--t", ",".join(map(repr, times))]
+    for k, p in enumerate(packets):
+        (d / f"{k}.pk").write_text(format_packet(p))
+        argv += ["--packet", str(d / f"{k}.pk")]
+    assert main(argv + ["--out", str(d / "o.csv")]) == 0
+    packets = [parse_packet((d / f"{k}.pk").read_text()) for k in range(len(packets))]
+    assert (d / "o.csv").read_text() == csv_oracle.average_csv(net, packets, times, inputs)

@@ -38,7 +38,7 @@ from qfnn import network
 from qfnn.cli import main
 from qfnn.environment import _averaged_qubit_density
 
-PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
+PROPERTY = settings(max_examples=30)
 
 
 def _conjugate_single(rho, u, qubit, n_qubits):
@@ -167,7 +167,7 @@ def test_weights_are_the_product_of_input_spectra(case):
     assert von_neumann_entropy(expected) == pytest.approx(entropy, abs=1e-9)
 
 
-@settings(max_examples=15, deadline=None, derandomize=True)
+@settings(max_examples=15)
 @given(cases())
 def test_average_command_matches_dense_oracle(case):
     net, packets, t = case

@@ -323,14 +323,14 @@ def packets_and_times(draw):
 
 
 class TestExactAverage:
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(max_examples=40)
     @given(packets_and_times())
     def test_closed_form_matches_node_sum_oracle(self, case):
         packet, t = case
         got = _averaged_qubit_density(packet, t)
         np.testing.assert_allclose(got, exact_density(packet, t), rtol=0, atol=1e-12)
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(max_examples=40)
     @given(packets_and_times())
     def test_unit_trace_and_positive_for_random_packets(self, case):
         packet, t = case

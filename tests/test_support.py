@@ -35,7 +35,7 @@ from qfnn import network
 from qfnn.cli import main
 from qfnn.network import _dense, _product_state, _run_steps
 
-PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
+PROPERTY = settings(max_examples=30)
 FORMS = ("support", "full", "auto")
 
 
@@ -135,7 +135,7 @@ def test_hadamard_on_every_neuron_fills_the_register(name, n, seed):
 
 
 @pytest.mark.parametrize("name", FORMS)
-@settings(max_examples=20, deadline=None, derandomize=True)
+@settings(max_examples=20)
 @given(st.integers(1, 4), st.integers(1, 4), st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
 def test_truth_table_probabilities_match_the_dense_oracle(name, m, n, rotate, wrong, seed):
     """Also for a network wired to another table, whose expected branches it never reaches."""
