@@ -171,14 +171,13 @@ def _flip_table(
     the control axes and size 1 on every other axis.
     """
     m, n = len(controls), len(targets)
-    masks = np.asarray(masks, dtype=np.int64)
-    flips = np.zeros(2**m, dtype=np.int64)
-    for l, q in enumerate(targets):
-        flips |= ((masks >> (n - 1 - l)) & 1) << (n_qubits - q)
+    bits = (np.asarray(masks, dtype=np.int64)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    flips = bits @ (1 << (n_qubits - np.asarray(targets, dtype=np.int64)))
     shape = [1] * n_qubits
     for q in controls:
         shape[q - 1] = 2
-    return flips.reshape([2] * m).transpose(np.argsort(controls)).reshape(shape)
+    order = sorted(range(m), key=controls.__getitem__)
+    return flips.reshape([2] * m).transpose(order).reshape(shape)
 
 
 def _xor_permutation(flips: np.ndarray, n_qubits: int) -> np.ndarray:

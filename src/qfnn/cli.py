@@ -32,14 +32,8 @@ from .environment import WavePacket, averaged_ensemble, parse_packet
 from .errors import ParseError
 from .gates import GateParams, fixed_gate
 from .network import (
-    BooleanStep,
-    NetworkSpec,
-    UnitaryStep,
-    _bit_digits,
-    _branch_rows,
-    _checked_inputs,
-    _history,
-    verify_truth_table,
+    BooleanStep, NetworkSpec, UnitaryStep, _bit_digits, _branch_rows, _checked_inputs, _history,
+    input_layer, verify_truth_table,
 )
 from .qstate import _entropy_bits
 
@@ -205,10 +199,10 @@ def parse_network_config(text: str) -> tuple[NetworkSpec, tuple[int, ...]]:
     flush()
     if layers is None:
         raise ParseError("config is missing 'layers'")
-    if inputs is None:
-        inputs = tuple(range(1, layers[0] + 1))
     try:
         net = NetworkSpec(layers, tuple(steps))
+        if inputs is None:
+            return net, input_layer(net)
         return net, _checked_inputs(inputs, net.n_neurons)
     except ValueError as exc:
         raise ParseError(str(exc)) from None

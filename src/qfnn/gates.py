@@ -90,6 +90,18 @@ def u2_from_params(phi: GateParams) -> np.ndarray:
     )
 
 
+def _response_columns(angles: np.ndarray) -> np.ndarray:
+    """(K, 2) first columns U(phi)|0> for rows (phi0..phi3) of ``angles``, in [0, 2pi].
+
+    The same operations as ``u2_from_params``, one array per entry.
+    """
+    phi0, phi1, phi2, phi3 = angles.T
+    g = np.exp(1j * phi0)
+    psi0 = g * (np.exp(1j * phi1) * np.cos(phi3 / 4.0))
+    psi1 = g * (-np.exp(-1j * phi2) * np.sin(phi3 / 4.0))
+    return np.stack([psi0, psi1], axis=1)
+
+
 def psi_amplitudes(phi: GateParams) -> tuple[complex, complex]:
     """Amplitudes (psi(0), psi(1)) of U(phi)|0>, i.e. the first column."""
     u = u2_from_params(phi)

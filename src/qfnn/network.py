@@ -9,6 +9,7 @@ together in one state vector.
 
 from __future__ import annotations
 
+import math
 import mmap
 from dataclasses import dataclass
 from functools import reduce
@@ -17,14 +18,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .boolfn import BooleanFunction, _flip_table, _xor_permutation, validate_wiring
-from .gates import (
-    GateParams,
-    HADAMARD,
-    IDENTITY_PARAMS,
-    NOT_PARAMS,
-    is_unitary,
-    u2_from_params,
-)
+from .gates import GateParams, HADAMARD, is_unitary, u2_from_params
 from .qstate import MAX_QUBITS, StateVector, _check_unit_norm
 
 _BLOCK_TARGETS = 6  # targets per kron block of a unitary step: blocks stay <= 64x64
@@ -199,6 +193,15 @@ def _dense(idx, amps: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _amps_at(idx, amps: np.ndarray, want: np.ndarray) -> np.ndarray:
+    """Row k's amplitudes on the basis indices ``want[k]`` (broadcast), 0 off the support."""
+    rows = np.arange(len(amps))[:, None]
+    if idx is None:
+        return amps[rows, want]
+    pos = np.minimum(np.searchsorted(idx, want), len(idx) - 1)
+    return np.where(idx[pos] == want, amps[rows, pos], 0.0)
+
+
 def _sorted(idx: np.ndarray, amps: np.ndarray):
     if (idx[1:] >= idx[:-1]).all():
         return idx, amps
@@ -354,38 +357,40 @@ class TruthTableReport:
         return [c for c in self.cases if not c.passed]
 
 
+def _truth_probabilities(net: NetworkSpec, g: BooleanFunction) -> np.ndarray:
+    """Probability that the history from |s>|0> ends on |s>|g(s)>, for every input s.
+
+    ``net`` has layers (g.m, g.n), so input s is the basis branch s << g.n.  A
+    batch of k such drives starts on k branches, at most doubled per unitary
+    target; k^2 x 2^rotated x _SUPPORT_SHARE <= _BATCH_AMPS then bounds
+    K x S after every step, whichever form the runner picks.
+    """
+    starts = np.arange(2**g.m) << g.n
+    rotated = sum(len(targets) for targets, _ in net._plan if targets is not None)
+    rows = max(1, math.isqrt(_BATCH_AMPS // (_SUPPORT_SHARE << rotated)))
+    expected = (starts | np.array(g.outputs))[:, None]
+    probs = np.empty(len(starts))
+    for lo in range(0, len(starts), rows):
+        want = expected[lo : lo + rows]
+        batch = _run_steps(starts[lo : lo + rows], np.eye(len(want), dtype=np.complex128), net)
+        probs[lo : lo + rows] = np.abs(_amps_at(*batch, want)[:, 0]) ** 2
+    return probs
+
+
 def verify_truth_table(
     net: NetworkSpec, g: BooleanFunction, tol: float = 1e-10
 ) -> TruthTableReport:
     """Drive a two-layer network with every classical input and check its output.
 
-    Input neurons are excited with the exact NOT parameters for a 1 bit and
-    identity parameters for a 0 bit, so each run is a classical history; the
-    expected branch |s>|g(s)> must carry probability 1 within ``tol``.
+    Each input s starts as the exact basis branch |s>|0>, every input neuron
+    |0> or |1>, so each run is a classical history; the expected branch
+    |s>|g(s)> must carry probability 1 within ``tol``.
     """
     if net.layers != (g.m, g.n):
         raise ValueError(
             f"network layers {list(net.layers)} do not match function arities "
             f"({g.m}, {g.n})"
         )
-    n = net.n_neurons
-    drives = np.array([u2_from_params(p)[:, 0] for p in (IDENTITY_PARAMS, NOT_PARAMS)])
-    columns = drives[(np.arange(2**g.m)[:, None] >> np.arange(g.m - 1, -1, -1)) & 1]
-    # A batch of drives spans at most 2^m input branches, doubled per unitary
-    # target; the runner goes dense only within _SUPPORT_SHARE of the support.
-    rotated = sum(len(targets) for targets, _ in net._plan if targets is not None)
-    rows = max(1, _BATCH_AMPS // min(2**n, _SUPPORT_SHARE << (g.m + rotated)))
-    expected = np.arange(2**g.m) << g.n | np.array(g.outputs)
-    probs = np.empty(2**g.m)
-    for lo in range(0, 2**g.m, rows):
-        idx, amps = _run_steps(*_product_state(columns[lo : lo + rows], input_layer(net), n), net)
-        want, batch = expected[lo : lo + rows], np.arange(len(amps))
-        if idx is None:
-            hit = amps[batch, want]
-        else:
-            pos = np.minimum(np.searchsorted(idx, want), len(idx) - 1)
-            hit = np.where(idx[pos] == want, amps[batch, pos], 0.0)
-        probs[lo : lo + rows] = np.abs(hit) ** 2
     cases = [
         TruthCase(
             input_bits=format(s, f"0{g.m}b"),
@@ -393,7 +398,7 @@ def verify_truth_table(
             probability=prob,
             passed=abs(prob - 1.0) <= tol,
         )
-        for s, prob in enumerate(probs.tolist())
+        for s, prob in enumerate(_truth_probabilities(net, g).tolist())
     ]
     return TruthTableReport(cases=tuple(cases), tolerance=float(tol))
 

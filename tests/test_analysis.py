@@ -1,5 +1,7 @@
 """Unit tests for scenario reports and their CSV rendering."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,9 +17,14 @@ from qfnn import (
     table1_check,
     table2_check,
     tensor,
+    measure_probabilities,
+    psi_amplitudes,
+    run_history,
+    xor_network,
     xor_reflexivity_check,
 )
-from qfnn.analysis import AssertionRecord, ScenarioReport
+from qfnn import analysis, gates, network
+from qfnn.analysis import MAX_SAMPLES, AssertionRecord, ScenarioReport
 
 EDGE_PHIS = [
     None,
@@ -127,3 +134,89 @@ class TestEntanglementReport:
         left = entanglement_report(state, {1, 4})
         right = entanglement_report(state, {2, 3})
         assert abs(left - right) <= 1e-9
+
+
+def xor_deviations_one_by_one(samples, seed):
+    """Per-sample (fire, support, amplitude) deviations, one ``run_history`` per sample.
+
+    This is the loop the batched scenario replaced: angles drawn four at a
+    time, each history a dense ``StateVector``.
+    """
+    rng = np.random.default_rng(seed)
+    idx = np.arange(16)
+    middle = (idx >> 1) & 0b11
+    off_support = (middle != 0b01) & (middle != 0b10)
+    rows = []
+    for _ in range(samples):
+        phi = GateParams(*rng.uniform(0.0, 2.0 * np.pi, size=4))
+        state = run_history(xor_network(), [phi], (1,))
+        psi0, psi1 = psi_amplitudes(phi)
+        expected = np.zeros(16, dtype=np.complex128)
+        expected[0b0011] = psi0
+        expected[0b1101] = psi1
+        rows.append(
+            (
+                abs(1.0 - measure_probabilities(state, 4)[1]),
+                float(state.probabilities()[off_support].sum()),
+                float(np.max(np.abs(state.amps - expected))),
+            )
+        )
+    return rows
+
+
+def xor_report_one_by_one(rows, seed):
+    """The report of the first ``len(rows)`` samples, as the per-sample loop wrote it."""
+    dev_fire, dev_support, dev_amps = (max(0.0, *col) for col in zip(*rows))
+    report = ScenarioReport(f"xor[samples={len(rows)};seed={seed}]")
+    report.check("output neuron fires with certainty", 0.0, dev_fire, 1e-10)
+    report.check("middle layer confined to complementary patterns", 0.0, dev_support, 1e-10)
+    report.check("branch amplitudes equal the single-neuron response", 0.0, dev_amps, 1e-12)
+    return report
+
+
+class TestBatchedXor:
+    @pytest.mark.parametrize("seed", [0, 3, 42])
+    def test_batch_is_byte_equal_to_the_per_sample_loop(self, seed):
+        """1..200 samples cross the runner's switch from the full form to the support at 64 rows."""
+        rows = xor_deviations_one_by_one(200, seed)
+        for samples in range(1, 201):
+            got = xor_reflexivity_check(samples=samples, seed=seed).to_csv()
+            assert got == xor_report_one_by_one(rows[:samples], seed).to_csv(), samples
+
+    def test_one_runner_call_and_no_history(self, monkeypatch):
+        calls = []
+        runner = analysis._run_steps
+
+        def counted(idx, amps, net):
+            calls.append(len(amps))
+            return runner(idx, amps, net)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("run_history called")
+
+        monkeypatch.setattr(analysis, "_run_steps", counted)
+        monkeypatch.setattr(analysis, "run_history", forbidden)
+        monkeypatch.setattr(network, "run_history", forbidden)
+        assert xor_reflexivity_check(samples=100).passed
+        assert calls == [100]
+
+    def test_max_samples_stays_on_the_support(self):
+        """Dense (samples, 16) arrays would peak near 121 MB at the cap."""
+        tracemalloc.start()
+        try:
+            report = xor_reflexivity_check(samples=MAX_SAMPLES, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 64 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
+
+
+def test_truth_table_scenarios_drive_exact_basis_branches(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("u2_from_params called")
+
+    monkeypatch.setattr(gates, "u2_from_params", forbidden)
+    monkeypatch.setattr(network, "u2_from_params", forbidden)
+    assert boolean_mn_check(seed=2, samples=5).passed
+    assert table1_check().passed

@@ -158,6 +158,24 @@ class TestNetworkConfig:
         with pytest.raises(ValueError, match=message):
             averaged_ensemble(net, [WavePacket.uniform()] * len(neurons), input_neurons=neurons)
 
+    @pytest.mark.parametrize("width", ["99999999999999999999", "4000000000", "40000000"])
+    def test_huge_layer_exits_two_before_building_default_inputs(self, width, tmp_path, capsys):
+        """A default input layer of that width would overflow, or fill memory, before the cap."""
+        net = tmp_path / "t.net"
+        net.write_text(f"layers = [{width}]\n", encoding="utf-8")
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            code = main(["run", "--net", str(net), "--phi", "0,0,0,0"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: network needs {width} neurons, exceeding the cap of 24\n"
+        assert elapsed < 1.0 and peak < 2**20, (elapsed, peak)
+
     def test_duplicate_step_key(self):
         text = "layers = [1, 1]\n\n[step]\nkind = boolean\nkind = boolean\n"
         with pytest.raises(ParseError, match="duplicate key"):
@@ -192,8 +210,8 @@ class TestScenarioCommand:
         def forbidden(*args, **kwargs):
             raise AssertionError("a sample ran")
 
-        monkeypatch.setattr("qfnn.analysis.run_history", forbidden)
-        monkeypatch.setattr("qfnn.analysis.verify_truth_table", forbidden)
+        monkeypatch.setattr("qfnn.analysis._run_steps", forbidden)
+        monkeypatch.setattr("qfnn.analysis._truth_probabilities", forbidden)
         code = main(["scenario", name, "--samples", "100000000000000000000"])
         captured = capsys.readouterr()
         assert code == 2

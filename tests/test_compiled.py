@@ -152,10 +152,13 @@ def test_sliced_truth_table_drives_match_one_batch(monkeypatch):
     monkeypatch.setattr(network, "_run_steps", counted)
     whole = verify_truth_table(net, g)
     assert batches == [16]
-    # One drive per batch: each runs on the full form, the whole table on the support.
-    monkeypatch.setattr(network, "_BATCH_AMPS", 1)
-    assert verify_truth_table(net, g) == whole
-    assert batches[1:] == [1] * 16
+    # k drives per batch while k^2 x 4 fits: batches of one and four drives run
+    # on the full form (K x 2^7 <= 2^10), the whole table on the support.
+    for budget, rows in ((64, 4), (1, 1)):
+        del batches[:]
+        monkeypatch.setattr(network, "_BATCH_AMPS", budget)
+        assert verify_truth_table(net, g) == whole
+        assert batches == [rows] * (16 // rows)
     assert whole.passed and len(whole.cases) == 16
 
 

@@ -33,7 +33,7 @@ from qfnn import (
 )
 from qfnn import network
 from qfnn.cli import main
-from qfnn.network import _dense, _product_state, _run_steps
+from qfnn.network import _dense, _product_state, _run_steps, _truth_probabilities
 
 PROPERTY = settings(max_examples=30)
 FORMS = ("support", "full", "auto")
@@ -152,6 +152,91 @@ def test_truth_table_probabilities_match_the_dense_oracle(name, m, n, rotate, wr
         expected = abs(amps[(s << n) | g.outputs[s]]) ** 2
         assert case.probability == pytest.approx(expected, abs=1e-12)
         assert case.passed == (abs(case.probability - 1.0) <= report.tolerance)
+
+
+@st.composite
+def truth_nets(draw, max_m=4, max_n=3):
+    """(m, n) net for a table g: g's own step, then boolean and unitary steps wired anywhere."""
+    m, n = draw(st.integers(1, max_m)), draw(st.integers(1, max_n))
+    total = m + n
+    g = BooleanFunction(m, n, draw(st.lists(st.integers(0, 2**n - 1), min_size=2**m, max_size=2**m)))
+    steps = [BooleanStep(g, range(1, m + 1), range(m + 1, total + 1))]
+    for _ in range(draw(st.integers(0, 3))):
+        order = draw(st.permutations(range(1, total + 1)))
+        if draw(st.booleans()):
+            a = draw(st.integers(1, total - 1))
+            b = draw(st.integers(1, total - a))
+            table = draw(st.lists(st.integers(0, 2**b - 1), min_size=2**a, max_size=2**a))
+            steps.append(BooleanStep(BooleanFunction(a, b, table), order[:a], order[a : a + b]))
+        else:
+            targets = order[: draw(st.integers(1, total))]
+            gates = [draw(st.sampled_from([HADAMARD, u2_from_params(draw(angles))])) for _ in targets]
+            steps.append(UnitaryStep(tuple(gates), targets))
+    return NetworkSpec((m, n), tuple(steps)), g
+
+
+@pytest.mark.parametrize("name", FORMS)
+@PROPERTY
+@given(truth_nets())
+def test_exact_basis_drives_match_the_dense_oracle(name, case):
+    """Each input s run alone from the dense basis state |s>|0>."""
+    net, g = case
+    m, n = net.layers
+    with form(name):
+        got = _truth_probabilities(net, g)
+    for s in range(2**m):
+        start = np.zeros((1, 2 ** (m + n)), dtype=complex)
+        start[0, s << n] = 1.0
+        amps = run_dense(start, net)[0]
+        assert got[s] == pytest.approx(abs(amps[(s << n) | g.outputs[s]]) ** 2, abs=1e-12)
+
+
+@settings(max_examples=25)
+@given(truth_nets(max_m=8, max_n=4), st.integers(10, 14))
+def test_every_truth_table_batch_stays_under_its_amplitude_budget(case, log_budget):
+    """K x S <= _BATCH_AMPS after the last step, whenever one drive can fit at all."""
+    net, g = case
+    whole = _truth_probabilities(net, g)
+    rotated = sum(len(targets) for targets, _ in net._plan if targets is not None)
+    batches, runner = [], network._run_steps
+
+    def counted(idx, amps, net):
+        idx, amps = runner(idx, amps, net)
+        batches.append(amps.shape)
+        return idx, amps
+
+    with mock.patch.object(network, "_BATCH_AMPS", 2**log_budget), mock.patch.object(
+        network, "_run_steps", counted
+    ):
+        sliced = _truth_probabilities(net, g)
+    np.testing.assert_allclose(sliced, whole, rtol=0, atol=1e-12)
+    assert sum(k for k, _ in batches) == 2 ** net.layers[0]
+    for k, s in batches:
+        if network._SUPPORT_SHARE << rotated <= 2**log_budget:
+            assert k * s <= 2**log_budget, (k, s, batches)
+        else:
+            assert k == 1
+
+
+def test_wide_tables_run_in_batches_under_the_default_budget():
+    """(9, 2) with Hadamards on two inputs and both outputs: 2^9 drives, 256 at a time."""
+    rng = np.random.default_rng(12)
+    g = BooleanFunction(9, 2, rng.integers(0, 4, 2**9))
+    steps = boolean_network_for(g).steps + (UnitaryStep((HADAMARD,) * 4, (3, 7, 10, 11)),)
+    net = NetworkSpec((9, 2), steps)
+    shapes, runner = [], network._run_steps
+
+    def counted(idx, amps, net):
+        idx, amps = runner(idx, amps, net)
+        shapes.append(amps.shape)
+        return idx, amps
+
+    with mock.patch.object(network, "_run_steps", counted):
+        report = verify_truth_table(net, g)
+    assert [k for k, _ in shapes] == [256] * 2
+    assert all(k * s <= network._BATCH_AMPS for k, s in shapes), shapes
+    # Two rotated inputs and two rotated outputs spread each drive evenly over 16 branches.
+    np.testing.assert_allclose([c.probability for c in report.cases], 1 / 16, rtol=0, atol=1e-12)
 
 
 def layered(layers, seed):
