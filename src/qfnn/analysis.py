@@ -28,9 +28,14 @@ from .qstate import (
 
 DEFAULT_SEED = 42
 DEFAULT_PHI = GateParams(0.0, 0.0, 0.0, np.pi)
-#: Largest ``samples`` for the sampled scenarios: ~0.1 s of ``xor`` and ~15 s
+#: Largest ``samples`` for the sampled scenarios: ~0.1 s of ``xor`` and ~1 s
 #: of ``boolean-mn`` on one core, checked before any sample runs.
 MAX_SAMPLES = 100_000
+#: Most functions of one family in one network: b <= 12 address inputs keep
+#: the (3, 3) family at 18 neurons, under the 24-neuron cap.
+_FAMILY_FUNCTIONS = 2**12
+#: Cells ``_record`` compares as one complex number each.
+_SCALARS = (int, float, complex, np.number)
 
 #: Closed-form value of the quarter-angle marginals:
 #: (1/2pi) integral of cos^2(phi/4) over a full turn is exactly 1/2,
@@ -109,16 +114,14 @@ def _fmt(value) -> str:
 
 
 def _record(description, expected, observed, tolerance) -> AssertionRecord:
-    e = np.asarray(expected, dtype=np.complex128)
-    o = np.asarray(observed, dtype=np.complex128)
-    passed = e.shape == o.shape and bool(np.all(np.abs(e - o) <= tolerance))
-    return AssertionRecord(
-        description=description,
-        expected=expected,
-        observed=observed,
-        tolerance=float(tolerance),
-        passed=passed,
-    )
+    tol = float(tolerance)
+    if isinstance(expected, _SCALARS) and isinstance(observed, _SCALARS):
+        passed = abs(complex(expected) - complex(observed)) <= tol
+    else:
+        e = np.asarray(expected, dtype=np.complex128)
+        o = np.asarray(observed, dtype=np.complex128)
+        passed = e.shape == o.shape and bool(np.all(np.abs(e - o) <= tol))
+    return AssertionRecord(description, expected, observed, tol, passed)
 
 
 def _phi_tag(phi: GateParams) -> str:
@@ -308,34 +311,40 @@ def boolean_mn_check(seed: int = DEFAULT_SEED, samples: int = 50) -> ScenarioRep
     """Compile-and-verify sweep over Boolean functions of several arities.
 
     Exhausts the small families ({0,1}^2 -> {0,1} and {0,1} -> {0,1}^2) and
-    samples the three-in three-out family, verifying each network against its
-    own truth table under classical drive and confirming the m+n neuron
-    layout.
+    samples the three-in three-out family, verifying each function against
+    its own truth table under classical drive and confirming the m+n neuron
+    layout.  Up to ``_FAMILY_FUNCTIONS`` functions g_a of one family compile
+    into one network for G(a, x) = g_a(x): b address inputs ahead of the m
+    data inputs, the constant 0 on unused addresses.  Its classical drives
+    are exactly the (a, x) pairs, and g_a's row reads the worst of its 2^m.
     """
     samples = _capped(samples)
     if samples < 0:
         raise ValueError(f"samples must be non-negative, got {samples}")
-    rng = np.random.default_rng(seed)
+    # One (samples, 8) draw: the same stream as one draw of size 8 per sample.
+    sampled = np.random.default_rng(seed).integers(0, 8, size=(samples, 8))
     report = ScenarioReport(f"boolean-mn[samples={samples};seed={seed}]")
     layout_violations = 0
-
-    def check(g: BooleanFunction, label: str):
-        nonlocal layout_violations
-        net = boolean_network_for(g)
-        if net.n_neurons != g.m + g.n or len(net.layers) != 2:
-            layout_violations += 1
-        worst = float(_truth_probabilities(net, g).min())
-        report.check(f"{label}: classical drive lands on the table output", 1.0, worst, 1e-10)
-
-    for code in range(16):
-        outputs = tuple((code >> s) & 1 for s in range(4))
-        check(BooleanFunction(2, 1, outputs), f"m=2 n=1 outputs {outputs}")
-    for code in range(16):
-        outputs = tuple((code >> (2 * s)) & 0b11 for s in range(2))
-        check(BooleanFunction(1, 2, outputs), f"m=1 n=2 outputs {outputs}")
-    for k in range(samples):
-        outputs = tuple(int(v) for v in rng.integers(0, 8, size=8))
-        check(BooleanFunction(3, 3, outputs), f"m=3 n=3 sample {k}")
+    codes = np.arange(16)[:, None]
+    families = (
+        (2, 1, (codes >> np.arange(4)) & 1, "m=2 n=1 outputs {1}"),
+        (1, 2, (codes >> 2 * np.arange(2)) & 0b11, "m=1 n=2 outputs {1}"),
+        (3, 3, sampled, "m=3 n=3 sample {0}"),
+    )
+    for m, n, tables, label in families:
+        for lo in range(0, len(tables), _FAMILY_FUNCTIONS):
+            chunk = tables[lo : lo + _FAMILY_FUNCTIONS]
+            b = max(1, (len(chunk) - 1).bit_length())
+            padded = np.zeros((2**b, 2**m), dtype=np.int64)
+            padded[: len(chunk)] = chunk
+            family = BooleanFunction(b + m, n, padded.ravel().tolist())
+            net = boolean_network_for(family)
+            if net.n_neurons != family.m + family.n or len(net.layers) != 2:
+                layout_violations += 1
+            probs = _truth_probabilities(net, family).reshape(2**b, 2**m)[: len(chunk)]
+            for k, (outputs, worst) in enumerate(zip(chunk.tolist(), probs.min(axis=1).tolist()), lo):
+                name = label.format(k, tuple(outputs))
+                report.check(f"{name}: classical drive lands on the table output", 1.0, worst, 1e-10)
     report.check(
         "every compiled network uses exactly m+n neurons in two layers",
         0.0, float(layout_violations), 0.5

@@ -43,16 +43,13 @@ class BooleanFunction:
         m, n = _check_arity(self.m, self.n)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n)
-        outs = tuple(int(v) for v in self.outputs)
+        outs = tuple(map(int, self.outputs))
         if len(outs) != 2**m:
-            raise ValueError(
-                f"need {2**m} outputs for m={m}, got {len(outs)}"
-            )
-        for s, v in enumerate(outs):
-            if not 0 <= v < 2**n:
-                raise ValueError(
-                    f"output {v} for input {s} does not fit in {n} bits"
-                )
+            raise ValueError(f"need {2**m} outputs for m={m}, got {len(outs)}")
+        # One pass over the extremes, exact for any int; the loop only names the culprit.
+        if min(outs) < 0 or max(outs) >> n:
+            s, v = next((s, v) for s, v in enumerate(outs) if not 0 <= v < 2**n)
+            raise ValueError(f"output {v} for input {s} does not fit in {n} bits")
         object.__setattr__(self, "outputs", outs)
 
     @classmethod

@@ -360,20 +360,31 @@ class TruthTableReport:
 def _truth_probabilities(net: NetworkSpec, g: BooleanFunction) -> np.ndarray:
     """Probability that the history from |s>|0> ends on |s>|g(s)>, for every input s.
 
-    ``net`` has layers (g.m, g.n), so input s is the basis branch s << g.n.  A
-    batch of k such drives starts on k branches, at most doubled per unitary
-    target; k^2 x 2^rotated x _SUPPORT_SHARE <= _BATCH_AMPS then bounds
-    K x S after every step, whichever form the runner picks.
+    ``net`` has layers (g.m, g.n), so input s is the basis branch s << g.n.
+    No step moves the bits of an input neuron it does not target, so drives
+    that differ only there stay on disjoint branches and share a row: with t
+    targeted input neurons, 2^t rows of 2^(m-t) drives each (one row for
+    ``boolean_network_for``, one drive per row when every input is
+    targeted).  A batch of k rows of c drives starts on k x c branches, at
+    most doubled per unitary target; k^2 x c x 2^rotated x _SUPPORT_SHARE
+    <= _BATCH_AMPS then bounds K x S after every step, whichever form the
+    runner picks.
     """
-    starts = np.arange(2**g.m) << g.n
+    m, n = net.layers
+    targeted = {q for step in net.steps for q in step.targets if q <= m}
     rotated = sum(len(targets) for targets, _ in net._plan if targets is not None)
-    rows = max(1, math.isqrt(_BATCH_AMPS // (_SUPPORT_SHARE << rotated)))
-    expected = (starts | np.array(g.outputs))[:, None]
-    probs = np.empty(len(starts))
+    fits = max(1, _BATCH_AMPS // (_SUPPORT_SHARE << rotated))
+    free = _branches(set(range(1, m + 1)) - targeted, m + n)
+    width = min(len(free), 1 << (fits.bit_length() - 1))
+    rows = max(1, math.isqrt(fits // width))
+    starts = (_branches(targeted, m + n)[:, None] | free).reshape(-1, width)
+    expected = starts | np.asarray(g.outputs)[starts >> n]
+    probs = np.empty(2**m)
     for lo in range(0, len(starts), rows):
-        want = expected[lo : lo + rows]
-        batch = _run_steps(starts[lo : lo + rows], np.eye(len(want), dtype=np.complex128), net)
-        probs[lo : lo + rows] = np.abs(_amps_at(*batch, want)[:, 0]) ** 2
+        batch = starts[lo : lo + rows]
+        ones = np.repeat(np.eye(len(batch), dtype=np.complex128), width, axis=1)
+        found = _amps_at(*_run_steps(*_sorted(batch.reshape(-1), ones), net), expected[lo : lo + rows])
+        probs[batch >> n] = np.abs(found) ** 2
     return probs
 
 

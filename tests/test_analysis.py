@@ -1,16 +1,23 @@
 """Unit tests for scenario reports and their CSV rendering."""
 
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dense_oracle import run_dense
 from qfnn import (
+    BooleanFunction,
     GateParams,
     StateVector,
     averaged_dynamics_check,
     basis_state,
     boolean_mn_check,
+    boolean_network_for,
     complementarity_check,
     entanglement_report,
     hadamard_variant_check,
@@ -24,7 +31,7 @@ from qfnn import (
     xor_reflexivity_check,
 )
 from qfnn import analysis, gates, network
-from qfnn.analysis import MAX_SAMPLES, AssertionRecord, ScenarioReport
+from qfnn.analysis import MAX_SAMPLES, AssertionRecord, ScenarioReport, _record
 
 EDGE_PHIS = [
     None,
@@ -220,3 +227,160 @@ def test_truth_table_scenarios_drive_exact_basis_branches(monkeypatch):
     monkeypatch.setattr(network, "u2_from_params", forbidden)
     assert boolean_mn_check(seed=2, samples=5).passed
     assert table1_check().passed
+
+
+def boolean_mn_report_one_by_one(seed, samples):
+    """The report of the per-function loop: one network per function, each drive run densely.
+
+    Drive s of an (m, n) function is row s of one ``run_dense`` call, the
+    basis state |s>|0>; the function's row reads its least probability of
+    landing on |s>|g(s)>.  Sampled tables are drawn eight entries at a time.
+    """
+    rng = np.random.default_rng(seed)
+    report = ScenarioReport(f"boolean-mn[samples={samples};seed={seed}]")
+    layout_violations = 0
+
+    def check(g, label):
+        nonlocal layout_violations
+        net = boolean_network_for(g)
+        if net.n_neurons != g.m + g.n or len(net.layers) != 2:
+            layout_violations += 1
+        drives = np.arange(2**g.m)
+        start = np.zeros((2**g.m, 2 ** (g.m + g.n)), dtype=complex)
+        start[drives, drives << g.n] = 1.0
+        amps = run_dense(start, net)[drives, (drives << g.n) | np.array(g.outputs)]
+        report.check(f"{label}: classical drive lands on the table output", 1.0, float(np.min(np.abs(amps) ** 2)), 1e-10)
+
+    for code in range(16):
+        outputs = tuple((code >> s) & 1 for s in range(4))
+        check(BooleanFunction(2, 1, outputs), f"m=2 n=1 outputs {outputs}")
+    for code in range(16):
+        outputs = tuple((code >> (2 * s)) & 0b11 for s in range(2))
+        check(BooleanFunction(1, 2, outputs), f"m=1 n=2 outputs {outputs}")
+    for k in range(samples):
+        check(BooleanFunction(3, 3, rng.integers(0, 8, size=8)), f"m=3 n=3 sample {k}")
+    report.check(
+        "every compiled network uses exactly m+n neurons in two layers",
+        0.0, float(layout_violations), 0.5
+    )
+    return report
+
+
+class TestFamilyNetworks:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_report_is_byte_equal_to_the_per_function_loop(self, seed):
+        for samples in (0, 1, 7, 100, 257, 5000):
+            got = boolean_mn_check(seed=seed, samples=samples).to_csv()
+            assert got == boolean_mn_report_one_by_one(seed, samples).to_csv(), samples
+
+    @pytest.mark.parametrize("seed", [0, 1, 42, 199])
+    def test_one_draw_is_the_per_sample_stream(self, seed, monkeypatch):
+        """The sampled family's network holds the tables drawn eight entries at a time."""
+        families, compile_family = [], analysis.boolean_network_for
+
+        def recorded(g):
+            families.append(g)
+            return compile_family(g)
+
+        monkeypatch.setattr(analysis, "boolean_network_for", recorded)
+        for samples in (1, 2, 7, 1000):
+            del families[:]
+            boolean_mn_check(seed=seed, samples=samples)
+            rng = np.random.default_rng(seed)
+            each = [rng.integers(0, 8, size=8) for _ in range(samples)]
+            tables = np.reshape(families[-1].outputs, (-1, 8))
+            np.testing.assert_array_equal(tables[:samples], np.reshape(each, (samples, 8)))
+            assert not tables[samples:].any()
+
+    def test_one_network_per_family(self, monkeypatch):
+        layouts, runner = [], network._run_steps
+
+        def counted(idx, amps, net):
+            layouts.append((net.layers, amps.shape))
+            return runner(idx, amps, net)
+
+        monkeypatch.setattr(network, "_run_steps", counted)
+        assert boolean_mn_check(seed=3, samples=100).passed
+        # 4, 4 and 7 address inputs; every drive of a family in one row.
+        assert layouts == [((6, 1), (1, 64)), ((5, 2), (1, 32)), ((10, 3), (1, 1024))]
+
+    def test_a_corrupt_address_slice_fails_only_its_function(self, monkeypatch):
+        """Function 37 of the sampled family sits at address 37 of the (7 + 3, 3) network."""
+        runner = network._run_steps
+
+        def corrupt(idx, amps, net):
+            idx, amps = runner(idx, amps, net)
+            if net.layers == (10, 3):
+                amps = np.where((idx >> 6) == 37, 0.5 * amps, amps)
+            return idx, amps
+
+        monkeypatch.setattr(network, "_run_steps", corrupt)
+        report = boolean_mn_check(seed=3, samples=100)
+        failed = [r.description for r in report.records if not r.passed]
+        assert failed == ["m=3 n=3 sample 37: classical drive lands on the table output"]
+        assert report.records[32 + 37].observed == 0.25
+
+    def test_max_samples_stays_within_its_budget(self):
+        """Under 4 s, and the process's peak RSS grows by under 64 MB."""
+        code = (
+            "import resource, time\n"
+            "from qfnn.analysis import MAX_SAMPLES, boolean_mn_check\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "start = time.perf_counter()\n"
+            "report = boolean_mn_check(seed=1, samples=MAX_SAMPLES)\n"
+            "wall = time.perf_counter() - start\n"
+            "grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
+            "print(report.passed, len(report.records), wall, grown)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        passed, records, wall, grown_kb = proc.stdout.split()
+        assert passed == "True" and int(records) == MAX_SAMPLES + 33
+        assert float(wall) < 4.0, f"{float(wall):.2f} s"
+        assert int(grown_kb) < 64 * 1024, f"peak RSS grew by {int(grown_kb) / 1024:.1f} MB"
+
+
+def numpy_path_verdict(expected, observed, tolerance):
+    """The elementwise NumPy comparison every record made before the scalar fast path."""
+    e = np.asarray(expected, dtype=np.complex128)
+    o = np.asarray(observed, dtype=np.complex128)
+    with np.errstate(invalid="ignore"):
+        return e.shape == o.shape and bool(np.all(np.abs(e - o) <= float(tolerance)))
+
+
+SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-300, -1e308, 1e308]
+reals = st.one_of(
+    st.integers(-(2**80), 2**80),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(SPECIAL),
+)
+scalars = st.one_of(
+    reals,
+    st.complex_numbers(allow_nan=True, allow_infinity=True),
+    st.builds(complex, st.sampled_from(SPECIAL), st.sampled_from(SPECIAL)),
+    st.booleans(),
+    st.floats(allow_nan=True).map(np.float64),
+    st.floats(width=32, allow_nan=True).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.complex_numbers(allow_nan=True).map(np.complex128),
+)
+cells = st.one_of(
+    scalars,
+    st.lists(st.floats(-2.0, 2.0), max_size=3).map(np.array),
+    st.lists(st.complex_numbers(max_magnitude=2.0), max_size=3).map(np.array),
+)
+
+
+@settings(max_examples=300)
+@given(cells, cells, st.sampled_from([0.0, 1e-12, 1e-10, 0.5, 1, np.inf, np.nan]))
+def test_scalar_records_decide_as_the_numpy_path(expected, observed, tolerance):
+    record = _record("cell", expected, observed, tolerance)
+    assert record.passed is numpy_path_verdict(expected, observed, tolerance)
+    assert record.expected is expected and record.observed is observed
+    assert record.tolerance == float(tolerance) or np.isnan(tolerance)
+
+
+def test_shape_mismatched_cells_fail():
+    for expected, observed in ((1.0, np.array([1.0])), (np.array([1.0, 1.0]), np.array([1.0])), (np.zeros((1, 2)), np.zeros(2))):
+        assert not _record("cell", expected, observed, 1.0).passed
+        assert not numpy_path_verdict(expected, observed, 1.0)

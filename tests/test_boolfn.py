@@ -45,6 +45,16 @@ class TestBooleanFunction:
         with pytest.raises(ValueError, match="power of two"):
             BooleanFunction.from_output_strings(["0", "1", "1"])
 
+    def test_out_of_range_outputs_name_the_first_offending_input(self):
+        for outputs, n, culprit in (
+            ((0, 1, 4, 9), 2, "output 4 for input 2 "),
+            ((0, -1, 3, 0), 2, "output -1 for input 1 "),
+            ((2**70, 0), 70, "output 1180591620717411303424 for input 0 "),
+        ):
+            with pytest.raises(ValueError, match=f"^{culprit}does not fit in {n} bits$"):
+                BooleanFunction(len(outputs).bit_length() - 1, n, outputs)
+        assert BooleanFunction(1, 71, (2**70, 2**71 - 1)).outputs == (2**70, 2**71 - 1)
+
     def test_value_range_checked(self):
         g = BooleanFunction(1, 1, (0, 1))
         with pytest.raises(ValueError, match="out of range"):

@@ -24,6 +24,7 @@ from qfnn import (
 from qfnn.analysis import MAX_SAMPLES
 from qfnn.environment import MAX_MODE_COMPONENT
 from qfnn.cli import (
+    SCENARIOS,
     _build_parser,
     main,
     parse_angle,
@@ -477,3 +478,28 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("scenario,")
+
+
+def test_no_command_loads_numpy_ma(tmp_path):
+    """``numpy.ma`` costs ~1 MB of RSS; ``np.unique`` without indices, ``np.union1d``
+    and ``np.setdiff1d`` import it, so no command may reach them."""
+    (tmp_path / "hv.net").write_text(HV_NET, encoding="utf-8")
+    (tmp_path / "mirror.net").write_text(MIRROR_NET, encoding="utf-8")
+    (tmp_path / "mirror.fn").write_text(MIRROR_FN, encoding="utf-8")
+    (tmp_path / "uniform.pk").write_text(UNIFORM_PACKET, encoding="utf-8")
+    out = ["--out", str(tmp_path / "out.csv")]
+    commands = [
+        ["run", "--net", str(tmp_path / "hv.net"), "--phi", "1,2,3,4", *out],
+        ["average", "--net", str(tmp_path / "mirror.net"), "--packet", str(tmp_path / "uniform.pk"),
+         "--t", "0,0.5", *out],
+        ["verify", "--net", str(tmp_path / "mirror.net"), "--fn", str(tmp_path / "mirror.fn"), *out],
+    ] + [["scenario", name, "--seed=5", *out] for name in SCENARIOS]
+    code = (
+        "import sys\n"
+        "from qfnn.cli import main\n"
+        f"for argv in {commands!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "    assert 'numpy.ma' not in sys.modules, argv\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

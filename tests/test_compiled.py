@@ -146,19 +146,19 @@ def test_sliced_truth_table_drives_match_one_batch(monkeypatch):
     batches, runner = [], network._run_steps
 
     def counted(idx, amps, net):
-        batches.append(len(amps))
+        batches.append((len(amps), len(idx)))
         return runner(idx, amps, net)
 
     monkeypatch.setattr(network, "_run_steps", counted)
     whole = verify_truth_table(net, g)
-    assert batches == [16]
-    # k drives per batch while k^2 x 4 fits: batches of one and four drives run
-    # on the full form (K x 2^7 <= 2^10), the whole table on the support.
-    for budget, rows in ((64, 4), (1, 1)):
+    # No step targets an input, so all 16 drives share one row.
+    assert batches == [(1, 16)]
+    # A row holds c drives while c x 4 fits: 16, 4 and 1 drives per batch.
+    for budget, drives in ((64, 16), (16, 4), (1, 1)):
         del batches[:]
         monkeypatch.setattr(network, "_BATCH_AMPS", budget)
         assert verify_truth_table(net, g) == whole
-        assert batches == [rows] * (16 // rows)
+        assert batches == [(1, drives)] * (16 // drives)
     assert whole.passed and len(whole.cases) == 16
 
 

@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dense_oracle import product_state, run_dense
@@ -191,52 +191,81 @@ def test_exact_basis_drives_match_the_dense_oracle(name, case):
         assert got[s] == pytest.approx(abs(amps[(s << n) | g.outputs[s]]) ** 2, abs=1e-12)
 
 
+def targeted_inputs(net):
+    """Bit mask, within an input s, of the input neurons some step targets."""
+    m = net.layers[0]
+    return sum(1 << (m - q) for q in {q for step in net.steps for q in step.targets if q <= m})
+
+
+def counting_runner(batches):
+    """The runner, recording each batch's (K, S) after the last step and its drives by row."""
+    runner = network._run_steps
+
+    def counted(idx, amps, net):
+        rows, cols = np.nonzero(amps)
+        # Every start branch belongs to exactly one row, with amplitude 1.
+        assert np.all(amps[rows, cols] == 1.0) and np.array_equal(np.sort(cols), np.arange(len(idx)))
+        drives = [idx[cols[rows == k]] >> net.layers[1] for k in range(len(amps))]
+        idx, amps = runner(idx, amps, net)
+        batches.append((amps.shape, drives))
+        return idx, amps
+
+    return counted
+
+
+def split_row_case():
+    """(7, 4) with Hadamards on two outputs: under 2^10 its one row of 128 drives splits in two."""
+    g = BooleanFunction(7, 4, np.random.default_rng(10).integers(0, 16, 2**7))
+    steps = boolean_network_for(g).steps + (UnitaryStep((HADAMARD,) * 2, (8, 9)),)
+    return NetworkSpec((7, 4), steps), g
+
+
 @settings(max_examples=25)
 @given(truth_nets(max_m=8, max_n=4), st.integers(10, 14))
+@example(split_row_case(), 10)
 def test_every_truth_table_batch_stays_under_its_amplitude_budget(case, log_budget):
-    """K x S <= _BATCH_AMPS after the last step, whenever one drive can fit at all."""
+    """K x S <= _BATCH_AMPS after the last step, whenever one drive can fit at all.
+
+    Every drive runs exactly once, in a row whose drives agree on every
+    input neuron a step targets.
+    """
     net, g = case
     whole = _truth_probabilities(net, g)
     rotated = sum(len(targets) for targets, _ in net._plan if targets is not None)
-    batches, runner = [], network._run_steps
-
-    def counted(idx, amps, net):
-        idx, amps = runner(idx, amps, net)
-        batches.append(amps.shape)
-        return idx, amps
-
+    targeted, batches = targeted_inputs(net), []
     with mock.patch.object(network, "_BATCH_AMPS", 2**log_budget), mock.patch.object(
-        network, "_run_steps", counted
+        network, "_run_steps", counting_runner(batches)
     ):
         sliced = _truth_probabilities(net, g)
     np.testing.assert_allclose(sliced, whole, rtol=0, atol=1e-12)
-    assert sum(k for k, _ in batches) == 2 ** net.layers[0]
-    for k, s in batches:
+    drives = np.concatenate([row for _, rows in batches for row in rows])
+    assert np.array_equal(np.sort(drives), np.arange(2 ** net.layers[0]))
+    for (k, s), rows in batches:
+        assert all(len(set((row & targeted).tolist())) == 1 for row in rows)
         if network._SUPPORT_SHARE << rotated <= 2**log_budget:
             assert k * s <= 2**log_budget, (k, s, batches)
         else:
-            assert k == 1
+            assert [len(row) for row in rows] == [1]
 
 
 def test_wide_tables_run_in_batches_under_the_default_budget():
-    """(9, 2) with Hadamards on two inputs and both outputs: 2^9 drives, 256 at a time."""
+    """(9, 2) with Hadamards on two inputs and both outputs: 4 rows of 128 drives, one batch.
+
+    With a Hadamard on every input too, each drive is its own row: 2^9
+    drives, 22 at a time.
+    """
     rng = np.random.default_rng(12)
     g = BooleanFunction(9, 2, rng.integers(0, 4, 2**9))
     steps = boolean_network_for(g).steps + (UnitaryStep((HADAMARD,) * 4, (3, 7, 10, 11)),)
-    net = NetworkSpec((9, 2), steps)
-    shapes, runner = [], network._run_steps
-
-    def counted(idx, amps, net):
-        idx, amps = runner(idx, amps, net)
-        shapes.append(amps.shape)
-        return idx, amps
-
-    with mock.patch.object(network, "_run_steps", counted):
-        report = verify_truth_table(net, g)
-    assert [k for k, _ in shapes] == [256] * 2
-    assert all(k * s <= network._BATCH_AMPS for k, s in shapes), shapes
-    # Two rotated inputs and two rotated outputs spread each drive evenly over 16 branches.
-    np.testing.assert_allclose([c.probability for c in report.cases], 1 / 16, rtol=0, atol=1e-12)
+    every = steps + (UnitaryStep((HADAMARD,) * 7, (1, 2, 4, 5, 6, 8, 9)),)
+    for net_steps, spread, widths in ((steps, 4, [[128] * 4]), (every, 11, [[1] * 22] * 23 + [[1] * 6])):
+        net, batches = NetworkSpec((9, 2), net_steps), []
+        with mock.patch.object(network, "_run_steps", counting_runner(batches)):
+            report = verify_truth_table(net, g)
+        assert [[len(row) for row in rows] for _, rows in batches] == widths
+        assert all(k * s <= network._BATCH_AMPS for (k, s), _ in batches), batches
+        # Each rotated neuron spreads a drive evenly over its two values.
+        np.testing.assert_allclose([c.probability for c in report.cases], 2.0**-spread, rtol=0, atol=1e-12)
 
 
 def layered(layers, seed):
