@@ -13,7 +13,6 @@ import numpy as np
 from qfnn import (
     BooleanFunction,
     boolean_network_for,
-    compile_synaptic,
     format_truth_table,
     parse_truth_table,
     verify_truth_table,
@@ -34,10 +33,9 @@ for case in report.cases:
     )
 print("all classical inputs verified:", report.passed)
 
-# The compiled gate is a permutation of the 16 basis states.  Its matrix
+# The synaptic gate is a permutation of the 16 basis states.  Its matrix
 # has exactly one 1 per row and column, and squares to the identity.
-gate = compile_synaptic(adder)
-mat = gate.to_matrix().real
+mat = adder.to_matrix().real
 print("permutation matrix:", np.array_equal(mat @ mat, np.eye(16)))
 
 # Truth tables survive a round trip through their text form, so tables can

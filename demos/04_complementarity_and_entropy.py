@@ -15,7 +15,8 @@ import numpy as np
 from qfnn import (
     GateParams,
     MeasureBasis,
-    apply_single,
+    NetworkSpec,
+    UnitaryStep,
     complementarity_network,
     fixed_gate,
     measure_probabilities,
@@ -37,12 +38,12 @@ expected = (math.cos(phi.phi3 / 4) ** 2, math.sin(phi.phi3 / 4) ** 2)
 print("input weights cos^2, sin^2:         ", np.round(expected, 6))
 
 # Joint statistics, input read in the computational basis and partner in
-# +/-: rotating only the partner with a Hadamard maps |+> to |0> and |->
-# to |1>, after which the four basis weights are exactly that mixed-basis
+# +/-: one more Hadamard step on the partner maps |+> to |0> and |-> to
+# |1>, after which the four basis weights are exactly that mixed-basis
 # joint, ordered (0,+), (0,-), (1,+), (1,-).  The cross outcomes (0,-)
 # and (1,+) never occur.
-rotated = apply_single(state, fixed_gate("hadamard"), 2)
-joint = np.abs(rotated.amps) ** 2
+rotated = NetworkSpec(net.layers, net.steps + (UnitaryStep((fixed_gate("hadamard"),), (2,)),))
+joint = run_history(rotated, (phi,), (1,)).probabilities()
 print("\njoint over (input bit, partner +/-):", np.round(joint, 6))
 
 # Entropy of either neuron alone measures the entanglement of the pair.

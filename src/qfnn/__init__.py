@@ -1,11 +1,12 @@
 """Simulator for quantum feedforward neural networks of two-state neurons.
 
-The pieces fit together like this: ``qstate`` holds dense register states,
-``gates`` builds four-angle single-neuron unitaries, ``boolfn`` compiles
-truth tables into synaptic permutation gates, ``network`` wires layers and
-runs histories, ``environment`` averages networks over wave packets on the
-four-torus of gate angles, ``analysis`` packages scenario checks, and
-``cli`` exposes all of it as the ``qfnn`` command.
+The pieces fit together like this: ``qstate`` holds register states and
+their readout, ``gates`` builds four-angle single-neuron unitaries,
+``boolfn`` holds the truth tables that synaptic steps XOR into their
+targets, ``network`` wires layers and runs every history through one step
+runner on the reachable basis branches, ``environment`` averages networks
+over wave packets on the four-torus of gate angles, ``analysis`` packages
+scenario checks, and ``cli`` exposes all of it as the ``qfnn`` command.
 """
 
 from .errors import ParseError
@@ -28,7 +29,6 @@ from .gates import (
     IDENTITY_PARAMS,
     NOT,
     NOT_PARAMS,
-    apply_single,
     fixed_gate,
     is_unitary,
     psi_amplitudes,
@@ -36,14 +36,9 @@ from .gates import (
 )
 from .boolfn import (
     BooleanFunction,
-    SynapticGate,
-    apply_synaptic,
-    compile_synaptic,
     format_truth_table,
     local_map,
     parse_truth_table,
-    synaptic_permutation,
-    truth_table_of,
 )
 from .network import (
     BooleanStep,

@@ -17,13 +17,14 @@ import numpy as np
 
 from .boolfn import BooleanFunction
 from .environment import WavePacket, averaged_density, purity
-from .gates import GateParams, HADAMARD, _response_columns, apply_single, psi_amplitudes
+from .gates import GateParams, _response_columns, psi_amplitudes
 from .network import (
     _amps_at, _product_state, _run_steps, _truth_probabilities, boolean_network_for,
     complementarity_network, hadamard_variant_network, input_layer, run_history, xor_network,
 )
 from .qstate import (
-    _NORM_ATOL, StateVector, measure_probabilities, reduced_density, von_neumann_entropy,
+    _NORM_ATOL, StateVector, _plus_minus_weights, measure_probabilities, reduced_density,
+    von_neumann_entropy,
 )
 
 DEFAULT_SEED = 42
@@ -190,14 +191,13 @@ def complementarity_check(phi: GateParams | None = None) -> ScenarioReport:
     psi0, psi1 = psi_amplitudes(phi)
     net = complementarity_network()
     state = run_history(net, [phi], input_layer(net))
-    # Rotate the output so the plus/minus outcomes become computational ones.
-    rotated = apply_single(state, HADAMARD, 2)
-    joint = rotated.probabilities()
+    # Input read computationally, output in the plus/minus basis: [input bit, 0].
+    plus, minus = _plus_minus_weights(state.amps, 2, 2)
     report = ScenarioReport(f"complementarity[phi={_phi_tag(phi)}]")
-    report.check("joint weight on (0, +)", abs(psi0) ** 2, joint[0b00], 1e-10)
-    report.check("joint weight on (1, -)", abs(psi1) ** 2, joint[0b11], 1e-10)
+    report.check("joint weight on (0, +)", abs(psi0) ** 2, plus[0, 0], 1e-10)
+    report.check("joint weight on (1, -)", abs(psi1) ** 2, minus[1, 0], 1e-10)
     report.check(
-        "cross weights (0, -) and (1, +)", 0.0, max(float(joint[0b01]), float(joint[0b10])), 1e-10
+        "cross weights (0, -) and (1, +)", 0.0, max(float(minus[0, 0]), float(plus[1, 0])), 1e-10
     )
     report.check(
         "unconditional firing odds of the output", 0.5, measure_probabilities(state, 2)[1], 1e-10

@@ -1,12 +1,13 @@
-"""Boolean truth tables and their compilation into synaptic permutation gates.
+"""Boolean truth tables, the synaptic gates they define, and their text format.
 
-A function g: {0,1}^m -> {0,1}^n becomes the controlled bit-flip
+A function g: {0,1}^m -> {0,1}^n defines the controlled bit-flip
 
     S_g = sum_s |s><s| (x) X^{g(s)}
 
 which XORs g(s) into the target register while leaving the control register
 untouched.  Because XOR is its own inverse, every synaptic gate squares to
-the identity.
+the identity.  The truth table is the gate: networks run it as a basis
+relabelling, and ``BooleanFunction.to_matrix`` spells it out densely.
 """
 
 from __future__ import annotations
@@ -17,14 +18,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParseError
-from .qstate import StateVector
-
-
-def _check_arity(m: int, n: int) -> tuple[int, int]:
-    m, n = int(m), int(n)
-    if m < 1 or n < 1:
-        raise ValueError(f"arities must be at least 1, got m={m}, n={n}")
-    return m, n
 
 
 @dataclass(frozen=True)
@@ -40,7 +33,9 @@ class BooleanFunction:
     outputs: tuple[int, ...]
 
     def __post_init__(self):
-        m, n = _check_arity(self.m, self.n)
+        m, n = int(self.m), int(self.n)
+        if m < 1 or n < 1:
+            raise ValueError(f"arities must be at least 1, got m={m}, n={n}")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n)
         outs = tuple(map(int, self.outputs))
@@ -81,6 +76,16 @@ class BooleanFunction:
             raise ValueError(f"expected an {self.m}-bit input string, got {bits!r}")
         return format(self.outputs[int(bits, 2)], f"0{self.n}b")
 
+    def to_matrix(self) -> np.ndarray:
+        """Dense 2^(m+n) permutation matrix of the synaptic gate, controls leading.
+
+        Column k, with controls s = k >> n, has its one entry in row k ^ g(s).
+        """
+        k = np.arange(2 ** (self.m + self.n))
+        mat = np.zeros((k.size, k.size), dtype=np.complex128)
+        mat[k ^ np.asarray(self.outputs)[k >> self.n], k] = 1.0
+        return mat
+
 
 def local_map(g: BooleanFunction, l: int, s: str) -> int:
     """Component map g_l: the 1-based l-th output bit of g on input ``s``."""
@@ -89,64 +94,9 @@ def local_map(g: BooleanFunction, l: int, s: str) -> int:
     return int(g.value_bits(s)[int(l) - 1])
 
 
-@dataclass(frozen=True)
-class SynapticGate:
-    """Controlled bit-flip compiled from a truth table.
-
-    ``flip_masks[s]`` is the XOR mask applied to the n target bits when the m
-    control bits read ``s``.  The gate permutes basis states, never touches
-    the controls, and is its own inverse.
-    """
-
-    m: int
-    n: int
-    flip_masks: tuple[int, ...]
-
-    def __post_init__(self):
-        m, n = _check_arity(self.m, self.n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        masks = tuple(int(v) for v in self.flip_masks)
-        if len(masks) != 2**m:
-            raise ValueError(f"need {2**m} masks for m={m}, got {len(masks)}")
-        for s, v in enumerate(masks):
-            if not 0 <= v < 2**n:
-                raise ValueError(f"mask {v} for control value {s} does not fit in {n} bits")
-        object.__setattr__(self, "flip_masks", masks)
-
-    def to_matrix(self) -> np.ndarray:
-        """Dense 2^(m+n) permutation matrix, controls as the leading bits."""
-        dim = 2 ** (self.m + self.n)
-        t_mask = 2**self.n - 1
-        mat = np.zeros((dim, dim), dtype=np.complex128)
-        for k in range(dim):
-            s = k >> self.n
-            t = k & t_mask
-            mat[(s << self.n) | (t ^ self.flip_masks[s]), k] = 1.0
-        return mat
-
-
-def compile_synaptic(g: BooleanFunction) -> SynapticGate:
-    """Compile a truth table into its synaptic gate (masks are the outputs)."""
-    return SynapticGate(g.m, g.n, g.outputs)
-
-
-def truth_table_of(gate: SynapticGate) -> BooleanFunction:
-    """Recover the truth table: the image of |s>|0...0> reads off g(s)."""
-    return BooleanFunction(gate.m, gate.n, gate.flip_masks)
-
-
-def validate_wiring(
-    n_qubits: int, controls: Sequence[int], targets: Sequence[int], m: int, n: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Check control/target index lists against a register; returns them as tuples."""
-    controls = tuple(int(q) for q in controls)
-    targets = tuple(int(q) for q in targets)
-    if len(controls) != m:
-        raise ValueError(f"expected {m} control indices, got {len(controls)}")
-    if len(targets) != n:
-        raise ValueError(f"expected {n} target indices, got {len(targets)}")
-    for q in controls + targets:
+def validate_wiring(n_qubits: int, controls: Sequence[int], targets: Sequence[int]) -> None:
+    """Check 1-based control/target neuron indices against an ``n_qubits`` register."""
+    for q in (*controls, *targets):
         if not 1 <= q <= n_qubits:
             raise ValueError(f"neuron index {q} out of range 1..{n_qubits}")
     if len(set(controls)) != len(controls):
@@ -156,7 +106,6 @@ def validate_wiring(
     overlap = set(controls) & set(targets)
     if overlap:
         raise ValueError(f"controls and targets overlap on {sorted(overlap)}")
-    return controls, targets
 
 
 def _flip_table(
@@ -182,32 +131,6 @@ def _xor_permutation(flips: np.ndarray, n_qubits: int) -> np.ndarray:
     idx = np.arange(2**n_qubits, dtype=np.int64).reshape([2] * n_qubits)
     idx ^= flips
     return idx.reshape(-1)
-
-
-def synaptic_permutation(
-    gate: SynapticGate,
-    controls: Sequence[int],
-    targets: Sequence[int],
-    n_qubits: int,
-) -> np.ndarray:
-    """Basis-index image array of the gate wired into an ``n_qubits`` register.
-
-    ``perm[k]`` is the index the gate sends basis state ``k`` to.  Controls
-    and targets are 1-based neuron indices and must be disjoint.
-    """
-    controls, targets = validate_wiring(n_qubits, controls, targets, gate.m, gate.n)
-    return _xor_permutation(_flip_table(gate.flip_masks, controls, targets, n_qubits), n_qubits)
-
-
-def apply_synaptic(
-    state: StateVector,
-    gate: SynapticGate,
-    controls: Sequence[int],
-    targets: Sequence[int],
-) -> StateVector:
-    """Apply a synaptic gate to a register: |s>|t> -> |s>|t XOR g(s)>."""
-    perm = synaptic_permutation(gate, controls, targets, state.n_qubits)
-    return StateVector(state.n_qubits, state.amps[perm])
 
 
 def parse_truth_table(text: str) -> BooleanFunction:

@@ -285,6 +285,8 @@ def run_command(cfg: RunConfig) -> int:
     if cfg.command == "scenario":
         if cfg.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {cfg.scenario!r}; choose from {list(SCENARIOS)}")
+        if len(cfg.phis) > 1:
+            raise ValueError(f"scenario takes at most one --phi, got {len(cfg.phis)}")
         report = SCENARIOS[cfg.scenario](cfg)
         _emit(report.to_csv(), cfg.out_path)
         return 0 if report.passed else 1

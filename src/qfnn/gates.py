@@ -18,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import _HADAMARD, StateVector, _apply_matrix, _bit_shift
-
 TWO_PI = 2.0 * math.pi
 
 
@@ -67,8 +65,8 @@ HADAMARD_PARAMS = GateParams(math.pi / 2, 3 * math.pi / 2, 3 * math.pi / 2, math
 
 IDENTITY = np.eye(2, dtype=np.complex128)
 NOT = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-HADAMARD = _HADAMARD
-for _g in (IDENTITY, NOT):
+HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
+for _g in (IDENTITY, NOT, HADAMARD):
     _g.setflags(write=False)
 
 _FIXED = {"identity": IDENTITY, "not": NOT, "hadamard": HADAMARD}
@@ -128,12 +126,3 @@ def is_unitary(u: np.ndarray, atol: float = 1e-12) -> bool:
     dev = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
     return bool(dev <= atol)
 
-
-def apply_single(state: StateVector, gate: np.ndarray, target: int) -> StateVector:
-    """Apply a 2x2 unitary to one neuron of a register, preserving global phase."""
-    gate = np.asarray(gate, dtype=np.complex128)
-    if gate.shape != (2, 2):
-        raise ValueError(f"gate must be 2x2, got shape {gate.shape}")
-    _bit_shift(state.n_qubits, target)  # range check
-    amps = _apply_matrix(state.amps, state.n_qubits, gate, target)
-    return StateVector(state.n_qubits, amps)

@@ -124,7 +124,7 @@ class NetworkSpec:
                 )
             controls = step.controls if isinstance(step, BooleanStep) else ()
             try:
-                validate_wiring(total, controls, step.targets, len(controls), len(step.targets))
+                validate_wiring(total, controls, step.targets)
             except ValueError as exc:
                 raise ValueError(f"step {i}: {exc}") from None
             if isinstance(step, BooleanStep):

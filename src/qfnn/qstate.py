@@ -1,4 +1,5 @@
-"""Dense state vectors and density matrices for registers of two-state neurons.
+"""State vectors, density matrices and single-neuron readout for registers of
+two-state neurons.
 
 Neurons are numbered 1..N and neuron 1 is the most significant bit of the
 basis index, so the amplitude array read in index order matches the
@@ -13,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-# Dense simulation allocates 2**n complex amplitudes; this cap keeps a typo
+# A StateVector holds 2**n complex amplitudes; this cap keeps a typo
 # from asking for petabytes.  Raise it deliberately if you have the memory.
 MAX_QUBITS = 24
 
@@ -21,9 +22,6 @@ _NORM_ATOL = 1e-10
 _HERM_ATOL = 1e-10
 _TRACE_ATOL = 1e-10
 _EIG_FLOOR = -1e-9
-
-_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
-_HADAMARD.setflags(write=False)
 
 
 class MeasureBasis(Enum):
@@ -223,11 +221,15 @@ def reduced_density(state: StateVector, keep: Iterable[int]) -> DensityMatrix:
     return DensityMatrix(len(kept_axes), rho)
 
 
-def _apply_matrix(amps: np.ndarray, n_qubits: int, u: np.ndarray, qubit: int) -> np.ndarray:
-    """Apply a 2x2 matrix to one qubit of raw amplitudes, (2**n,) or (K, 2**n)."""
-    right = 1 << (n_qubits - qubit)
-    t = amps.reshape(-1, 2, right)
-    return np.einsum("ab,lbr->lar", u, t).reshape(amps.shape)
+def _plus_minus_weights(amps: np.ndarray, n_qubits: int, qubit: int):
+    """Weights |a0 + a1|^2 / 2 of |+> and |a0 - a1|^2 / 2 of |-> on 1-based ``qubit``.
+
+    a0 and a1 are a branch's amplitudes with the neuron quiescent and firing.
+    Each result is a (2^(qubit-1), 2^(n_qubits-qubit)) array indexed by the
+    branch's bits before and after the neuron.
+    """
+    t = amps.reshape(-1, 2, 1 << (n_qubits - qubit))
+    return np.abs(t[:, 0] + t[:, 1]) ** 2 / 2, np.abs(t[:, 0] - t[:, 1]) ** 2 / 2
 
 
 def measure_probabilities(
@@ -244,11 +246,10 @@ def measure_probabilities(
     shift = _bit_shift(state.n_qubits, qubit)
     if not isinstance(basis, MeasureBasis):
         raise ValueError(f"basis must be a MeasureBasis, got {basis!r}")
-    amps = state.amps
     if basis is MeasureBasis.PLUS_MINUS:
-        # Rotate |+>/|-> onto |0>/|1> and read out computationally.
-        amps = _apply_matrix(amps, state.n_qubits, _HADAMARD, qubit)
-    probs = np.abs(amps) ** 2
+        plus, minus = _plus_minus_weights(state.amps, state.n_qubits, qubit)
+        return float(plus.sum()), float(minus.sum())
+    probs = state.probabilities()
     bit = (np.arange(probs.size) >> shift) & 1
     p0 = float(probs[bit == 0].sum())
     p1 = float(probs[bit == 1].sum())

@@ -28,8 +28,6 @@ from qfnn import (
     WavePacket,
     averaged_density,
     boolean_network_for,
-    compile_synaptic,
-    apply_synaptic,
     complementarity_network,
     eigenfunction,
     energy,
@@ -41,6 +39,7 @@ from qfnn import (
     von_neumann_entropy,
     xor_network,
 )
+from qfnn.network import _run_steps
 from torus_oracle import midpoint, packet_values
 
 TWO_PI = 2.0 * math.pi
@@ -365,8 +364,7 @@ def test_gate_unitarity_and_permutations():
                 yield BooleanFunction(m, n, outputs)
 
     for g in gates():
-        gate = compile_synaptic(g)
-        mat = gate.to_matrix()
+        mat = g.to_matrix()
         binary = np.all((mat == 0.0) | (mat == 1.0))
         rows = np.all(np.abs(mat).sum(axis=1) == 1.0)
         cols = np.all(np.abs(mat).sum(axis=0) == 1.0)
@@ -376,15 +374,10 @@ def test_gate_unitarity_and_permutations():
         total = g.m + g.n
         amps = rng.normal(size=2**total) + 1j * rng.normal(size=2**total)
         amps /= np.linalg.norm(amps)
-        state = StateVector(total, amps)
         wires = tuple(range(1, total + 1))
-        twice = apply_synaptic(
-            apply_synaptic(state, gate, wires[: g.m], wires[g.m :]),
-            gate,
-            wires[: g.m],
-            wires[g.m :],
-        )
-        dev = float(np.max(np.abs(twice.amps - amps)))
+        step = BooleanStep(g, wires[: g.m], wires[g.m :])
+        _, twice = _run_steps(None, amps[None], NetworkSpec((g.m, g.n), (step, step)))
+        dev = float(np.max(np.abs(twice[0] - amps)))
         if dev >= 1e-12:
             failures.append(
                 f"(m={g.m},n={g.n}) outputs {g.outputs}: double application drifts {dev:.3e}"

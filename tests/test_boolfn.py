@@ -1,22 +1,23 @@
-"""Unit tests for truth tables, synaptic gates, and the table text format."""
+"""Unit tests for truth tables, the synaptic gates they define, and the table text format."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfnn import (
     BooleanFunction,
+    BooleanStep,
+    NetworkSpec,
     ParseError,
-    StateVector,
-    SynapticGate,
-    apply_synaptic,
-    basis_state,
-    compile_synaptic,
+    boolean_network_for,
     format_truth_table,
     local_map,
     parse_truth_table,
-    synaptic_permutation,
-    truth_table_of,
 )
+from qfnn.network import _run_steps
+
+XOR = BooleanFunction.from_output_strings(["0", "1", "1", "0"])
 
 
 def random_function(m, n, rng):
@@ -80,25 +81,30 @@ class TestLocalMap:
             local_map(g, 3, "0")
 
 
+def run(net, amps):
+    """Full-form rows ``amps`` pushed through every step of ``net`` by the network's runner."""
+    idx, out = _run_steps(None, np.asarray(amps, dtype=complex).reshape(-1, 2**net.n_neurons), net)
+    assert idx is None
+    return out
+
+
+@st.composite
+def wired_functions(draw):
+    """A random table on a shuffled wiring of m + n + 0..2 spectator neurons."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    outputs = draw(st.lists(st.integers(0, 2**n - 1), min_size=2**m, max_size=2**m))
+    total = m + n + draw(st.integers(0, 2))
+    wiring = draw(st.permutations(range(1, total + 1)))
+    return BooleanFunction(m, n, tuple(outputs)), total, tuple(wiring), draw(st.integers(0, 2**32 - 1))
+
+
 class TestSynapticCompile:
-    def test_masks_are_the_outputs(self):
-        g = BooleanFunction(2, 2, (0, 3, 1, 2))
-        gate = compile_synaptic(g)
-        assert gate.flip_masks == g.outputs
-
-    def test_round_trip_preserves_tables(self):
-        rng = np.random.default_rng(31)
-        for _ in range(30):
-            m, n = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-            g = random_function(m, n, rng)
-            assert truth_table_of(compile_synaptic(g)) == g
-
     def test_matrix_is_a_permutation_and_involution(self):
         rng = np.random.default_rng(32)
         functions = [BooleanFunction(2, 1, ((c >> 3) & 1, (c >> 2) & 1, (c >> 1) & 1, c & 1)) for c in range(16)]
         functions += [random_function(3, 3, rng) for _ in range(10)]
         for g in functions:
-            mat = compile_synaptic(g).to_matrix()
+            mat = g.to_matrix()
             assert np.all(mat.sum(axis=0) == 1.0)
             assert np.all(mat.sum(axis=1) == 1.0)
             assert np.all((mat == 0.0) | (mat == 1.0))
@@ -107,7 +113,7 @@ class TestSynapticCompile:
     def test_zero_target_register_reads_off_the_table(self):
         rng = np.random.default_rng(33)
         g = random_function(2, 2, rng)
-        mat = compile_synaptic(g).to_matrix()
+        mat = g.to_matrix()
         for s in range(4):
             column = mat[:, s << 2]
             assert column[(s << 2) | g.value(s)] == 1.0
@@ -115,75 +121,95 @@ class TestSynapticCompile:
     def test_control_bits_never_change(self):
         rng = np.random.default_rng(34)
         g = random_function(3, 2, rng)
-        mat = compile_synaptic(g).to_matrix()
+        mat = g.to_matrix()
         src, dst = np.nonzero(mat.T)
         np.testing.assert_array_equal(src >> 2, dst >> 2)
 
-    def test_gate_validation(self):
-        with pytest.raises(ValueError, match="masks"):
-            SynapticGate(2, 1, (0, 1))
-        with pytest.raises(ValueError, match="fit in"):
-            SynapticGate(1, 1, (0, 2))
+    @settings(max_examples=60)
+    @given(wired_functions())
+    def test_matrix_is_what_the_runner_applies(self, case):
+        """S_g on any wiring: the runner equals the matrix with the wires moved to the front."""
+        g, total, wiring, seed = case
+        rng = np.random.default_rng(seed)
+        amps = rng.normal(size=(3, 2**total)) + 1j * rng.normal(size=(3, 2**total))
+        step = BooleanStep(g, wiring[: g.m], wiring[g.m : g.m + g.n])
+        got = run(NetworkSpec((total,), (step,)), amps)
+        # Gate order: controls, targets, then spectators; axis 0 is the row.
+        order = [0, *wiring]
+        moved = amps.reshape((3,) + (2,) * total).transpose(order).reshape(3, -1)
+        mat = np.kron(g.to_matrix(), np.eye(2 ** (total - g.m - g.n)))
+        want = (moved @ mat.T).reshape((3,) + (2,) * total).transpose(np.argsort(order))
+        np.testing.assert_allclose(got, want.reshape(3, -1), rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(mat @ mat, np.eye(2**total))
+        twice = run(NetworkSpec((total,), (step, step)), amps)
+        np.testing.assert_allclose(twice, amps, rtol=0, atol=1e-12)
+        # The canonical two-layer net is the unshuffled wiring without spectators.
+        direct = amps[:, : 2 ** (g.m + g.n)]
+        got = run(boolean_network_for(g), direct)
+        np.testing.assert_allclose(got, direct @ g.to_matrix().T, rtol=0, atol=1e-12)
 
 
 class TestApplySynaptic:
+    """Synaptic steps as the network runner applies them."""
+
     def test_conditional_flip_entangles_the_mirror_pair(self):
         """(a|0> + b|1>)|0> becomes a|00> + b|11> under the mirror table."""
         g = BooleanFunction.from_output_strings(["0", "1"])
-        gate = compile_synaptic(g)
         a, b = 0.6, 0.8
-        state = StateVector(2, [a, 0.0, b, 0.0])
-        out = apply_synaptic(state, gate, (1,), (2,))
-        np.testing.assert_allclose(out.amps, [a, 0.0, 0.0, b], atol=1e-15)
+        out = run(boolean_network_for(g), [a, 0.0, b, 0.0])
+        np.testing.assert_allclose(out[0], [a, 0.0, 0.0, b], atol=1e-15)
 
     def test_double_application_restores_state(self):
         rng = np.random.default_rng(35)
-        g = random_function(2, 2, rng)
-        gate = compile_synaptic(g)
+        step = BooleanStep(random_function(2, 2, rng), (1, 2), (3, 4))
         amps = rng.normal(size=16) + 1j * rng.normal(size=16)
-        state = StateVector(4, amps / np.linalg.norm(amps))
-        once = apply_synaptic(state, gate, (1, 2), (3, 4))
-        twice = apply_synaptic(once, gate, (1, 2), (3, 4))
-        np.testing.assert_allclose(twice.amps, state.amps, atol=1e-12)
+        amps /= np.linalg.norm(amps)
+        once = run(NetworkSpec((2, 2), (step,)), amps)
+        twice = run(NetworkSpec((2, 2), (step,)), once)
+        np.testing.assert_allclose(twice[0], amps, atol=1e-12)
 
     def test_contiguous_wiring_matches_dense_matrix(self):
         rng = np.random.default_rng(36)
         g = random_function(2, 1, rng)
-        gate = compile_synaptic(g)
         amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-        state = StateVector(3, amps / np.linalg.norm(amps))
-        out = apply_synaptic(state, gate, (1, 2), (3,))
-        np.testing.assert_allclose(out.amps, gate.to_matrix() @ state.amps, atol=1e-13)
+        amps /= np.linalg.norm(amps)
+        out = run(NetworkSpec((2, 1), (BooleanStep(g, (1, 2), (3,)),)), amps)
+        np.testing.assert_allclose(out[0], g.to_matrix() @ amps, atol=1e-13)
 
     def test_scrambled_wiring_matches_bit_oracle(self):
         """Non-contiguous controls/targets agree with a per-index Python oracle."""
         rng = np.random.default_rng(37)
         g = random_function(2, 1, rng)
-        gate = compile_synaptic(g)
         controls, targets, n = (4, 1), (2,), 4
-        perm = synaptic_permutation(gate, controls, targets, n)
+        # Row k of the identity is basis state k; the runner sends it to its image.
+        images = run(NetworkSpec((n,), (BooleanStep(g, controls, targets),)), np.eye(16))
         for k in range(16):
             s = 0
             for j, q in enumerate(controls):
-                s |= ((k >> (n - q)) & 1) << (gate.m - 1 - j)
+                s |= ((k >> (n - q)) & 1) << (g.m - 1 - j)
             image = k
             for l, q in enumerate(targets):
-                bit = (g.value(s) >> (gate.n - 1 - l)) & 1
+                bit = (g.value(s) >> (g.n - 1 - l)) & 1
                 image ^= bit << (n - q)
-            assert perm[k] == image
+            expected = np.zeros(16)
+            expected[image] = 1.0
+            np.testing.assert_array_equal(images[k], expected)
 
     def test_wiring_validation(self):
-        g = compile_synaptic(BooleanFunction.from_output_strings(["0", "1"]))
-        state = basis_state(3, "000")
-        with pytest.raises(ValueError, match="overlap"):
-            apply_synaptic(state, g, (1,), (1,))
-        with pytest.raises(ValueError, match="control indices"):
-            apply_synaptic(state, g, (1, 2), (3,))
-        with pytest.raises(ValueError, match="out of range"):
-            apply_synaptic(state, g, (1,), (4,))
-        big = compile_synaptic(BooleanFunction.from_output_strings(["00", "11"]))
-        with pytest.raises(ValueError, match="duplicate target"):
-            apply_synaptic(state, big, (1,), (2, 2))
+        copy = BooleanFunction.from_output_strings(["0", "1"])
+        big = BooleanFunction.from_output_strings(["00", "11"])
+        for step, message in (
+            (BooleanStep(copy, (1,), (1,)), r"^step 1: controls and targets overlap on \[1\]$"),
+            (BooleanStep(copy, (1,), (4,)), r"^step 1: neuron index 4 out of range 1\.\.3$"),
+            (BooleanStep(big, (1,), (2, 2)), r"^step 1: duplicate target indices: \[2, 2\]$"),
+            (BooleanStep(XOR, (2, 2), (3,)), r"^step 1: duplicate control indices: \[2, 2\]$"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                NetworkSpec((3,), (step,))
+        with pytest.raises(ValueError, match=r"^step controls \[1, 2\] do not match arity m=1$"):
+            BooleanStep(copy, (1, 2), (3,))
+        with pytest.raises(ValueError, match=r"^step targets \[2, 3\] do not match arity n=1$"):
+            BooleanStep(copy, (1,), (2, 3))
 
 
 class TestTruthTableText:

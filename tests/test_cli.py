@@ -200,6 +200,14 @@ class TestScenarioCommand:
         assert rows[0] == ["scenario", "assertion", "expected", "observed", "tolerance", "pass"]
         assert all(r[-1] == "true" for r in rows[1:])
 
+    @pytest.mark.parametrize("name", ["table2", "table1"])
+    def test_second_phi_exits_two_instead_of_being_dropped(self, name, capsys):
+        code = main(["scenario", name, "--phi", "0,0,0,1", "--phi", "0,0,0,2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: scenario takes at most one --phi, got 2\n"
+        assert captured.out == ""
+
     def test_xor_with_seed_and_samples(self, capsys):
         code = main(["scenario", "xor", "--samples", "5", "--seed", "11"])
         out = capsys.readouterr().out

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_oracle import permutation
 from qfnn import (
     HADAMARD,
     BooleanFunction,
@@ -26,12 +27,10 @@ from qfnn import (
     UnitaryStep,
     averaged_density,
     averaged_ensemble,
-    compile_synaptic,
     format_packet,
     format_truth_table,
     purity,
     random_packet,
-    synaptic_permutation,
     von_neumann_entropy,
 )
 from qfnn import network
@@ -55,9 +54,7 @@ def _conjugate_single(rho, u, qubit, n_qubits):
 
 def _conjugate_step(rho, step, n_qubits):
     if isinstance(step, BooleanStep):
-        perm = synaptic_permutation(
-            compile_synaptic(step.function), step.controls, step.targets, n_qubits
-        )
+        perm = permutation(step, n_qubits)
         out = np.empty_like(rho)
         out[np.ix_(perm, perm)] = rho
         return out
@@ -181,7 +178,8 @@ def test_average_command_matches_dense_oracle(case):
             argv += ["--packet", str(d / f"{k}.pk")]
         argv += ["--t", repr(t), "--out", str(d / "o.csv")]
         assert main(argv) == 0
-        header, row = list(csv.reader((d / "o.csv").open()))
+        with (d / "o.csv").open() as fh:
+            header, row = list(csv.reader(fh))
     assert header[1:4] == ["trace", "purity", "entropy_bits"]
     got = [float(v) for v in row[1:]]
     want = [1.0, purity(expected), von_neumann_entropy(expected)]
@@ -213,7 +211,8 @@ def test_average_command_never_builds_a_4n_matrix(tmp_path):
         tracemalloc.stop()
     assert code == 0
     assert peak < 64 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
-    rows = list(csv.reader((tmp_path / "o.csv").open()))
+    with (tmp_path / "o.csv").open() as fh:
+        rows = list(csv.reader(fh))
     assert len(rows) == 3 and len(rows[0]) == 4 + 2**12
     for row in rows[1:]:
         assert float(row[1]) == pytest.approx(1.0, abs=1e-12)

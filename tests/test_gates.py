@@ -1,4 +1,4 @@
-"""Unit tests for the four-angle gate family and single-neuron application."""
+"""Unit tests for the four-angle gate family and single-neuron steps."""
 
 import numpy as np
 import pytest
@@ -11,13 +11,15 @@ from qfnn import (
     IDENTITY_PARAMS,
     NOT,
     NOT_PARAMS,
-    apply_single,
+    NetworkSpec,
+    UnitaryStep,
     basis_state,
     fixed_gate,
     is_unitary,
     psi_amplitudes,
     u2_from_params,
 )
+from qfnn.network import _run_steps
 from qfnn.qstate import StateVector
 
 TWO_PI = 2.0 * np.pi
@@ -138,35 +140,41 @@ class TestIsUnitary:
 
 
 class TestApplySingle:
+    """Single-neuron gates as the network runner applies them: one-gate unitary steps."""
+
+    @staticmethod
+    def apply(amps, gate, target, n):
+        net = NetworkSpec((n,), (UnitaryStep((gate,), (target,)),))
+        idx, out = _run_steps(None, np.asarray(amps, dtype=complex)[None], net)
+        assert idx is None
+        return out[0]
+
     def test_not_flips_the_addressed_neuron(self):
-        state = basis_state(3, "000")
+        state = basis_state(3, "000").amps
         for target, bits in ((1, "100"), (2, "010"), (3, "001")):
-            flipped = apply_single(state, NOT, target)
-            assert flipped.amps[int(bits, 2)] == 1.0
+            flipped = self.apply(state, NOT, target, 3)
+            assert flipped[int(bits, 2)] == 1.0
 
     def test_matches_dense_kron_oracle(self):
         rng = np.random.default_rng(24)
         for target in (1, 2, 3):
             amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-            state = StateVector(3, amps / np.linalg.norm(amps))
+            amps /= np.linalg.norm(amps)
             u = u2_from_params(random_params(rng))
             ops = [np.eye(2)] * 3
             ops[target - 1] = u
             dense = np.kron(np.kron(ops[0], ops[1]), ops[2])
-            np.testing.assert_allclose(
-                apply_single(state, u, target).amps, dense @ state.amps, atol=1e-12
-            )
+            np.testing.assert_allclose(self.apply(amps, u, target, 3), dense @ amps, atol=1e-12)
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(25)
-        state = basis_state(2, "00")
+        amps = basis_state(2, "00").amps
         for _ in range(10):
-            state = apply_single(state, u2_from_params(random_params(rng)), 1 + rng.integers(2))
-        np.testing.assert_allclose(state.probabilities().sum(), 1.0, atol=1e-10)
+            amps = self.apply(amps, u2_from_params(random_params(rng)), 1 + int(rng.integers(2)), 2)
+        np.testing.assert_allclose(StateVector(2, amps).probabilities().sum(), 1.0, atol=1e-10)
 
     def test_rejects_bad_target_and_shape(self):
-        state = basis_state(2, "00")
-        with pytest.raises(ValueError, match="out of range"):
-            apply_single(state, NOT, 0)
+        with pytest.raises(ValueError, match=r"^step 1: neuron index 0 out of range 1\.\.2$"):
+            NetworkSpec((2,), (UnitaryStep((NOT,), (0,)),))
         with pytest.raises(ValueError, match="2x2"):
-            apply_single(state, np.eye(4), 1)
+            UnitaryStep((np.eye(4),), (1,))

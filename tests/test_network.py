@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dense_oracle import permutation, product_state, run_dense
 from qfnn import (
     BooleanFunction,
     BooleanStep,
@@ -12,13 +13,10 @@ from qfnn import (
     NOT_PARAMS,
     NetworkSpec,
     UnitaryStep,
-    apply_single,
-    apply_synaptic,
     basis_state,
     boolean_network_for,
     branch_amplitudes,
     complementarity_network,
-    compile_synaptic,
     hadamard_variant_network,
     input_layer,
     psi_amplitudes,
@@ -101,12 +99,8 @@ class TestRunHistory:
         phi = GateParams(1.0, 2.0, 3.0, 4.0)
         net = xor_network()
         got = run_history(net, [phi], (1,))
-        state = apply_single(basis_state(4, "0000"), u2_from_params(phi), 1)
-        for step in net.steps:
-            state = apply_synaptic(
-                state, compile_synaptic(step.function), step.controls, step.targets
-            )
-        np.testing.assert_allclose(got.amps, state.amps, atol=1e-14)
+        start = product_state(u2_from_params(phi)[:, 0].reshape(1, 1, 2), (1,), 4)
+        np.testing.assert_allclose(got.amps, run_dense(start, net)[0], atol=1e-14)
 
     def test_input_validation(self):
         net = boolean_network_for(MIRROR)
@@ -191,7 +185,7 @@ class TestCanonicalNetworks:
         for _ in range(10):
             phi = GateParams(*rng.uniform(0.0, 2.0 * np.pi, 4))
             got = run_history(complementarity_network(), [phi], (1,))
-            state = apply_single(basis_state(2, "00"), u2_from_params(phi), 1)
-            state = apply_synaptic(state, compile_synaptic(MIRROR), (1,), (2,))
-            state = apply_single(state, HADAMARD, 2)
-            np.testing.assert_allclose(got.amps, state.amps, atol=1e-14)
+            state = np.kron(u2_from_params(phi)[:, 0], [1.0, 0.0])
+            state = state[permutation(BooleanStep(MIRROR, (1,), (2,)), 2)]
+            state = np.kron(np.eye(2), HADAMARD) @ state
+            np.testing.assert_allclose(got.amps, state, atol=1e-14)

@@ -1,7 +1,11 @@
 """Unit tests for register states, reduced densities, and entropy."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfnn import (
     DensityMatrix,
@@ -14,7 +18,7 @@ from qfnn import (
     tensor,
     von_neumann_entropy,
 )
-from qfnn.gates import GateParams, apply_single, psi_amplitudes, u2_from_params
+from qfnn.gates import HADAMARD, GateParams, u2_from_params
 
 
 def random_state(n, rng):
@@ -67,7 +71,7 @@ class TestTensor:
     def test_excited_neuron_with_quiescent_one(self):
         """U(0,0,0,pi)|0> (x) |0> has amplitudes (cos pi/4, 0, -sin pi/4, 0)."""
         phi = GateParams(0.0, 0.0, 0.0, np.pi)
-        left = apply_single(basis_state(1, "0"), u2_from_params(phi), 1)
+        left = StateVector(1, u2_from_params(phi)[:, 0])
         state = tensor(left, basis_state(1, "0"))
         expected = [np.cos(np.pi / 4), 0.0, -np.sin(np.pi / 4), 0.0]
         np.testing.assert_allclose(state.amps, expected, atol=1e-15)
@@ -157,7 +161,7 @@ class TestMeasureProbabilities:
         rng = np.random.default_rng(15)
         for _ in range(25):
             phi = GateParams(*rng.uniform(0.0, 2.0 * np.pi, 4))
-            state = apply_single(basis_state(1, "0"), u2_from_params(phi), 1)
+            state = StateVector(1, u2_from_params(phi)[:, 0])
             _, p1 = measure_probabilities(state, 1)
             np.testing.assert_allclose(p1, np.sin(phi.phi3 / 4.0) ** 2, atol=1e-12)
 
@@ -180,6 +184,20 @@ class TestMeasureProbabilities:
     def test_rejects_bad_qubit(self):
         with pytest.raises(ValueError, match="out of range"):
             measure_probabilities(basis_state(2, "00"), 3)
+
+    @settings(max_examples=60)
+    @given(st.integers(1, 8), st.integers(0, 2**32 - 1))
+    def test_plus_minus_matches_the_rotated_readout(self, n, seed):
+        """Closed form against a kron oracle: rotate the neuron with H, read |0>/|1>."""
+        state = random_state(n, np.random.default_rng(seed))
+        for q in range(1, n + 1):
+            ops = [np.eye(2)] * n
+            ops[q - 1] = HADAMARD
+            probs = np.abs(reduce(np.kron, ops) @ state.amps) ** 2
+            bit = (np.arange(2**n) >> (n - q)) & 1
+            want = (probs[bit == 0].sum(), probs[bit == 1].sum())
+            got = measure_probabilities(state, q, MeasureBasis.PLUS_MINUS)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestDensityMatrix:

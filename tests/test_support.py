@@ -308,7 +308,8 @@ def test_run_at_n24_lists_branches_without_a_dense_state(tmp_path):
     code, peak = traced_peak(lambda: main(argv))
     assert code == 0
     assert peak < 64 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
-    rows = list(csv.reader(out.open()))[1:]
+    with out.open() as fh:
+        rows = list(csv.reader(fh))[1:]
     assert len(rows) == 2**16
     first = net.steps[0].function.outputs
     for bits, _, _ in rows[:: 2**8]:
