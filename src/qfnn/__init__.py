@@ -69,7 +69,6 @@ from .environment import (
     random_packet,
 )
 from .analysis import (
-    AssertionRecord,
     ScenarioReport,
     averaged_dynamics_check,
     boolean_mn_check,

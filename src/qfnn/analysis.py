@@ -1,6 +1,6 @@
 """Scenario checks exercising the bundled constructions end to end.
 
-Every check returns a ``ScenarioReport``: a list of assertions with expected
+Every check returns a ``ScenarioReport``: columns of assertions with expected
 value, observed value, tolerance, and verdict.  Reports render to CSV with
 one row per assertion, and any randomness is driven by an explicit seed that
 is embedded in the scenario name, so rerunning a report reproduces it
@@ -9,13 +9,12 @@ byte for byte.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .boolfn import BooleanFunction
+from .csvtext import _cell, _g12, _quoted
 from .environment import WavePacket, averaged_density, purity
 from .gates import GateParams, _response_columns, psi_amplitudes
 from .network import (
@@ -35,7 +34,7 @@ MAX_SAMPLES = 100_000
 #: Most functions of one family in one network: b <= 12 address inputs keep
 #: the (3, 3) family at 18 neurons, under the 24-neuron cap.
 _FAMILY_FUNCTIONS = 2**12
-#: Cells ``_record`` compares as one complex number each.
+#: Cells ``ScenarioReport.check`` compares as one complex number each.
 _SCALARS = (int, float, complex, np.number)
 
 #: Closed-form value of the quarter-angle marginals:
@@ -51,78 +50,71 @@ def _capped(samples: int) -> int:
     return samples
 
 
-@dataclass(frozen=True)
-class AssertionRecord:
-    """One checked quantity: |expected - observed| <= tolerance, elementwise."""
-
-    description: str
-    expected: object
-    observed: object
-    tolerance: float
-    passed: bool
-
-
 @dataclass
 class ScenarioReport:
-    """Named bundle of assertion records with CSV rendering."""
+    """Named bundle of checks, one list per CSV column: row k records that
+    |expected - observed| <= ``tolerances[k]`` elementwise, with its cell text."""
 
     scenario: str
-    records: list[AssertionRecord] = field(default_factory=list)
+    descriptions: list[str] = field(default_factory=list)
+    expected: list[str] = field(default_factory=list)
+    observed: list[str] = field(default_factory=list)
+    tolerances: list[float] = field(default_factory=list)
+    verdicts: list[bool] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
-        return all(r.passed for r in self.records)
+        return all(self.verdicts)
 
     def check(self, description, expected, observed, tolerance) -> None:
         """Record that |expected - observed| <= tolerance, elementwise."""
-        self.records.append(_record(description, expected, observed, tolerance))
+        tol = float(tolerance)
+        if isinstance(expected, _SCALARS) and isinstance(observed, _SCALARS):
+            try:
+                passed = abs(complex(expected) - complex(observed)) <= tol
+            except OverflowError:  # the modulus rounds past the largest float: inf
+                passed = tol == np.inf
+        else:
+            e = np.asarray(expected, dtype=np.complex128)
+            o = np.asarray(observed, dtype=np.complex128)
+            passed = e.shape == o.shape and bool(np.all(np.abs(e - o) <= tol))
+        self.descriptions.append(description)
+        self.expected.append(_cell(expected))
+        self.observed.append(_cell(observed))
+        self.tolerances.append(tol)
+        self.verdicts.append(passed)
+
+    def check_all(self, descriptions, expected, observed_column, tolerance) -> None:
+        """``check`` one row per description against one scalar ``expected``: one real
+        per row in ``observed_column``, so one comparison and one ``_g12`` call."""
+        tol = float(tolerance)
+        observed = np.asarray(observed_column, dtype=np.float64)
+        if len(descriptions) != len(observed):
+            raise ValueError(f"{len(descriptions)} descriptions for {len(observed)} observed values")
+        with np.errstate(invalid="ignore", over="ignore"):
+            passed = np.abs(complex(expected) - observed) <= tol
+        self.descriptions.extend(descriptions)
+        self.expected.extend([_cell(expected)] * len(observed))
+        # A %.12g text never holds a space and takes at most 19 of a cell's 20 bytes.
+        self.observed.extend(_g12(observed).tobytes().decode().split())
+        self.tolerances.extend([tol] * len(observed))
+        self.verdicts.extend(passed.tolist())
 
     def counts(self) -> tuple[int, int]:
         """(passing, total) assertion counts."""
-        return sum(r.passed for r in self.records), len(self.records)
+        return sum(self.verdicts), len(self.verdicts)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["scenario", "assertion", "expected", "observed", "tolerance", "pass"]
+        scenario = _quoted(self.scenario)
+        columns = self.descriptions, self.expected, self.observed, self.tolerances, self.verdicts
+        return "scenario,assertion,expected,observed,tolerance,pass\n" + "".join(
+            f"{scenario},{_quoted(d)},{e},{o},{t:.3g},{'true' if v else 'false'}\n"
+            for d, e, o, t, v in zip(*columns)
         )
-        for r in self.records:
-            writer.writerow(
-                [
-                    self.scenario,
-                    r.description,
-                    _fmt(r.expected),
-                    _fmt(r.observed),
-                    f"{r.tolerance:.3g}",
-                    "true" if r.passed else "false",
-                ]
-            )
-        return buf.getvalue()
 
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.to_csv())
-
-
-def _fmt(value) -> str:
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return ";".join(_fmt(v) for v in np.ravel(np.asarray(value)))
-    value = complex(value)
-    if value.imag == 0.0:
-        return f"{value.real:.12g}"
-    return f"{value.real:.12g}{value.imag:+.12g}j"
-
-
-def _record(description, expected, observed, tolerance) -> AssertionRecord:
-    tol = float(tolerance)
-    if isinstance(expected, _SCALARS) and isinstance(observed, _SCALARS):
-        passed = abs(complex(expected) - complex(observed)) <= tol
-    else:
-        e = np.asarray(expected, dtype=np.complex128)
-        o = np.asarray(observed, dtype=np.complex128)
-        passed = e.shape == o.shape and bool(np.all(np.abs(e - o) <= tol))
-    return AssertionRecord(description, expected, observed, tol, passed)
 
 
 def _phi_tag(phi: GateParams) -> str:
@@ -202,17 +194,15 @@ def complementarity_check(phi: GateParams | None = None) -> ScenarioReport:
     report.check(
         "unconditional firing odds of the output", 0.5, measure_probabilities(state, 2)[1], 1e-10
     )
-    plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    minus = np.array([1.0, -1.0]) / np.sqrt(2.0)
-    report.check(
-        "output conditioned on input 0 matches |+>",
-        1.0, _conditional_fidelity(state, 1, 0, 2, plus), 1e-10
-    )
-    report.check(
-        "output conditioned on input 1 matches |->",
-        1.0, _conditional_fidelity(state, 1, 1, 2, minus), 1e-10
-    )
+    _check_phase_tags(report, state, 2)
     return report
+
+
+def _check_phase_tags(report: ScenarioReport, state: StateVector, output: int) -> None:
+    """Check that the output neuron reads |+> on input 0 and |-> on input 1."""
+    for bit, ket, sign in ((0, "|+>", 1.0), (1, "|->", -1.0)):
+        fidelity = _conditional_fidelity(state, 1, bit, output, np.array([1.0, sign]) / np.sqrt(2.0))
+        report.check(f"output conditioned on input {bit} matches {ket}", 1.0, fidelity, 1e-10)
 
 
 def _conditional_fidelity(
@@ -294,16 +284,7 @@ def hadamard_variant_check(phi: GateParams | None = None) -> ScenarioReport:
         "support confined to the two spread branches",
         0.0, float(state.probabilities()[off_support].sum()), 1e-10
     )
-    plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    minus = np.array([1.0, -1.0]) / np.sqrt(2.0)
-    report.check(
-        "output conditioned on input 0 matches |+>",
-        1.0, _conditional_fidelity(state, 1, 0, 4, plus), 1e-10
-    )
-    report.check(
-        "output conditioned on input 1 matches |->",
-        1.0, _conditional_fidelity(state, 1, 1, 4, minus), 1e-10
-    )
+    _check_phase_tags(report, state, 4)
     return report
 
 
@@ -342,9 +323,9 @@ def boolean_mn_check(seed: int = DEFAULT_SEED, samples: int = 50) -> ScenarioRep
             if net.n_neurons != family.m + family.n or len(net.layers) != 2:
                 layout_violations += 1
             probs = _truth_probabilities(net, family).reshape(2**b, 2**m)[: len(chunk)]
-            for k, (outputs, worst) in enumerate(zip(chunk.tolist(), probs.min(axis=1).tolist()), lo):
-                name = label.format(k, tuple(outputs))
-                report.check(f"{name}: classical drive lands on the table output", 1.0, worst, 1e-10)
+            names = (label.format(k, tuple(outputs)) for k, outputs in enumerate(chunk.tolist(), lo))
+            lands = [f"{name}: classical drive lands on the table output" for name in names]
+            report.check_all(lands, 1.0, probs.min(axis=1), 1e-10)
     report.check(
         "every compiled network uses exactly m+n neurons in two layers",
         0.0, float(layout_violations), 0.5

@@ -21,13 +21,13 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import analysis
 from .boolfn import parse_truth_table
+from .csvtext import _G12_WIDTH, _csv_lines, _g12
 from .environment import WavePacket, averaged_ensemble, parse_packet
 from .errors import ParseError
 from .gates import GateParams, fixed_gate
@@ -38,10 +38,10 @@ from .network import (
 from .qstate import _entropy_bits
 
 _RUN_THRESHOLD = 1e-12
-_G12_WIDTH = 20  # bytes per ``_g12`` cell; the longest ``%.12g`` of a float64 takes 19
-#: Largest ``average`` CSV built, in bytes: building takes about 4x the text (one
-#: time at N=21: 55 MB, 240 MB resident), and a 1->23 net needs 0.5 GB of text.
-_AVERAGE_CSV_BUDGET = 64 << 20
+#: Largest ``run`` or ``average`` CSV built, in bytes: building takes about 4x the
+#: text (one ``average`` time at N=21: 55 MB, 240 MB resident), and a 1->23 net
+#: needs 0.5 GB of text.
+_CSV_BUDGET = 64 << 20
 
 
 def parse_angle(token: str) -> float:
@@ -208,49 +208,12 @@ def parse_network_config(text: str) -> tuple[NetworkSpec, tuple[int, ...]]:
         raise ParseError(str(exc)) from None
 
 
-@dataclass
-class RunConfig:
-    """Everything one invocation needs, decoupled from argparse."""
-
-    command: str
-    scenario: str | None = None
-    net_path: str | None = None
-    fn_path: str | None = None
-    packet_paths: tuple[str, ...] = ()
-    phis: tuple[GateParams, ...] = ()
-    seed: int = analysis.DEFAULT_SEED
-    samples: int = 100
-    n_max: int | None = None
-    times: tuple[float, ...] = (0.0,)
-    out_path: str | None = None
-
-
 def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise OSError(f"cannot read {path}: {exc.strerror or exc}") from None
-
-
-def _g12(values) -> np.ndarray:
-    """``b"%.12g" % v`` per float64, space-padded: shape ``values.shape + (20,)``.
-
-    Steps permute amplitudes and scale them by a few gate entries, so values
-    repeat: each distinct bit pattern (-0.0 prints ``-0``) is formatted once.
-    """
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    text = b"%-20.12g" * len(keys) % tuple(keys.view(np.float64).tolist())
-    return np.frombuffer(text, np.uint8).reshape(-1, _G12_WIDTH)[inverse.reshape(values.shape)]
-
-
-def _csv_lines(cells: np.ndarray) -> bytes:
-    """CSV lines from (rows, columns, width) ASCII ``cells``: each cell's last byte takes
-    its comma or newline, NUL and space padding is dropped (no text holds a space)."""
-    cells[..., -1] = ord(",")
-    cells[:, -1, -1] = ord("\n")
-    return cells.tobytes().translate(None, b"\0 ")
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -264,99 +227,95 @@ def _emit(text: str, out_path: str | None) -> None:
         raise OSError(f"cannot write {out_path}: {exc.strerror or exc}") from None
 
 
-def _phi(cfg: RunConfig) -> GateParams | None:
-    return cfg.phis[0] if cfg.phis else None
-
-
-#: Scenario name -> report builder; the CLI offers exactly these names.
-SCENARIOS: dict[str, Callable[[RunConfig], analysis.ScenarioReport]] = {
-    "table1": lambda cfg: analysis.table1_check(),
-    "table2": lambda cfg: analysis.table2_check(_phi(cfg)),
-    "boolean-mn": lambda cfg: analysis.boolean_mn_check(seed=cfg.seed, samples=cfg.samples),
-    "xor": lambda cfg: analysis.xor_reflexivity_check(samples=cfg.samples, seed=cfg.seed),
-    "hadamard-variant": lambda cfg: analysis.hadamard_variant_check(_phi(cfg)),
-    "complementarity": lambda cfg: analysis.complementarity_check(_phi(cfg)),
-    "averaged-dynamics": lambda cfg: analysis.averaged_dynamics_check(t_values=cfg.times),
+#: Scenario name -> report builder from the parsed flags and the one --phi, if any.
+SCENARIOS: dict[str, Callable[[argparse.Namespace, GateParams | None], analysis.ScenarioReport]] = {
+    "table1": lambda args, phi: analysis.table1_check(),
+    "table2": lambda args, phi: analysis.table2_check(phi),
+    "boolean-mn": lambda args, phi: analysis.boolean_mn_check(seed=args.seed, samples=args.samples),
+    "xor": lambda args, phi: analysis.xor_reflexivity_check(samples=args.samples, seed=args.seed),
+    "hadamard-variant": lambda args, phi: analysis.hadamard_variant_check(phi),
+    "complementarity": lambda args, phi: analysis.complementarity_check(phi),
+    "averaged-dynamics": lambda args, phi: analysis.averaged_dynamics_check(t_values=args.t),
 }
 
 
-def run_command(cfg: RunConfig) -> int:
+def _check_size(needed: int, what: str) -> None:
+    if needed > _CSV_BUDGET:
+        raise ValueError(f"{what} needs at least {needed} bytes of CSV; the limit is {_CSV_BUDGET}")
+
+
+def run_command(args: argparse.Namespace) -> int:
     """Execute one parsed invocation; returns the process exit status."""
-    if cfg.command == "scenario":
-        if cfg.scenario not in SCENARIOS:
-            raise ValueError(f"unknown scenario {cfg.scenario!r}; choose from {list(SCENARIOS)}")
-        if len(cfg.phis) > 1:
-            raise ValueError(f"scenario takes at most one --phi, got {len(cfg.phis)}")
-        report = SCENARIOS[cfg.scenario](cfg)
-        _emit(report.to_csv(), cfg.out_path)
+    phis = tuple(parse_phi(p) for p in getattr(args, "phi", None) or ())
+    if args.command == "scenario":
+        if len(phis) > 1:
+            raise ValueError(f"scenario takes at most one --phi, got {len(phis)}")
+        report = SCENARIOS[args.name](args, phis[0] if phis else None)
+        _emit(report.to_csv(), args.out)
         return 0 if report.passed else 1
 
-    if cfg.command == "run":
-        if cfg.net_path is None:
-            raise ValueError("run needs --net")
-        net, inputs = parse_network_config(_read_text(cfg.net_path))
-        if len(cfg.phis) != len(inputs):
+    if args.command == "run":
+        net, inputs = parse_network_config(_read_text(args.net))
+        if len(phis) != len(inputs):
             raise ValueError(
                 f"need {len(inputs)} --phi values for input neurons {list(inputs)}, "
-                f"got {len(cfg.phis)}"
+                f"got {len(phis)}"
             )
         n = net.n_neurons
-        bits, amps = _branch_rows(*_history(net, cfg.phis, inputs), n, _RUN_THRESHOLD)
+        kept, amps = _branch_rows(*_history(net, phis, inputs), _RUN_THRESHOLD)
+        # Each row takes N + 5 bytes or more: the bits, two numbers, two commas, a newline.
+        _check_size(len(amps) * (n + 5), f"run output of {len(amps)} branches")
+        bits = _bit_digits(kept, n)
         cells = np.zeros((len(amps), 3, max(n + 1, _G12_WIDTH)), np.uint8)
         cells[:, 0, :n] = bits
         cells[:, 1:, :_G12_WIDTH] = _g12(amps.view(np.float64).reshape(-1, 2))
-        _emit((b"branch,re,im\n" + _csv_lines(cells)).decode(), cfg.out_path)
+        _emit((b"branch,re,im\n" + _csv_lines(cells)).decode(), args.out)
         return 0
 
-    if cfg.command == "verify":
-        if cfg.net_path is None or cfg.fn_path is None:
-            raise ValueError("verify needs --net and --fn")
-        net, _ = parse_network_config(_read_text(cfg.net_path))
-        g = parse_truth_table(_read_text(cfg.fn_path))
+    if args.command == "verify":
+        net, _ = parse_network_config(_read_text(args.net))
+        g = parse_truth_table(_read_text(args.fn))
         report = verify_truth_table(net, g)
-        width = max(g.m + 1, g.n + 1, _G12_WIDTH)
-        texts = [(c.input_bits, c.expected_bits, "", str(c.passed).lower()) for c in report.cases]
-        cells = np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(len(texts), 4, width)
-        cells[:, 2, :_G12_WIDTH] = _g12([c.probability for c in report.cases])
+        probs = report.probabilities
+        cells = np.zeros((len(probs), 4, max(g.m + 1, g.n + 1, _G12_WIDTH)), np.uint8)
+        cells[:, 0, : g.m] = _bit_digits(np.arange(len(probs)), g.m)
+        cells[:, 1, : g.n] = _bit_digits(np.asarray(g.outputs), g.n)
+        cells[:, 2, :_G12_WIDTH] = _g12(probs)
+        verdict_text = np.frombuffer(b"falsetrue\0", np.uint8).reshape(2, 5)
+        cells[:, 3, :5] = verdict_text[report.verdicts.astype(np.intp)]
         body = _csv_lines(cells)
-        _emit((b"input,expected_output,probability,pass\n" + body).decode(), cfg.out_path)
+        _emit((b"input,expected_output,probability,pass\n" + body).decode(), args.out)
         return 0 if report.passed else 1
 
-    if cfg.command == "average":
-        if cfg.net_path is None:
-            raise ValueError("average needs --net")
-        net, inputs = parse_network_config(_read_text(cfg.net_path))
-        n = net.n_neurons
-        # 2^N columns of N + 3 header bytes ("p_", bits, comma), 2+ ("0,") per time.
-        needed = 2**n * (n + 3 + 2 * len(cfg.times))
-        if needed > _AVERAGE_CSV_BUDGET:
-            raise ValueError(f"average output for {n} neurons at {len(cfg.times)} time(s) needs "
-                             f"at least {needed} bytes of CSV; the limit is {_AVERAGE_CSV_BUDGET}")
-        if cfg.packet_paths:
-            packets = [parse_packet(_read_text(p)) for p in cfg.packet_paths]
-        else:
-            packets = [WavePacket.uniform() for _ in inputs]
-        if cfg.n_max is not None:
-            packets = [p.truncate(cfg.n_max) for p in packets]
-        if len(packets) != len(inputs):
-            raise ValueError(
-                f"need {len(inputs)} packets for input neurons {list(inputs)}, "
-                f"got {len(packets)}"
-            )
-        columns = np.full((1, 2**n, n + 3), ord("p"), np.uint8)  # "p_", the bits, a free byte
-        columns[..., 1], columns[0, :, 2:-1] = ord("_"), _bit_digits(np.arange(2**n), n)
-        lines = [b"t,trace,purity,entropy_bits," + _csv_lines(columns)]
-        for t in cfg.times:
-            # The weights are the spectrum, so no 4^N matrix is needed.
-            w, idx, amps = averaged_ensemble(net, packets, t=t, input_neurons=inputs)
-            row = np.zeros((1, 4 + 2**n))
-            row[0, :4] = t, w.sum(), w @ w, _entropy_bits(w)
-            row[0, 4 + idx] = np.clip(w @ np.abs(amps) ** 2, 0.0, None)
-            lines.append(_csv_lines(_g12(row)))
-        _emit(b"".join(lines).decode(), cfg.out_path)
-        return 0
-
-    raise ValueError(f"unknown command {cfg.command!r}")
+    # average: the parser offers no other command.
+    net, inputs = parse_network_config(_read_text(args.net))
+    n, times = net.n_neurons, args.t
+    # 2^N columns of N + 3 header bytes ("p_", bits, comma), 2+ ("0,") per time.
+    needed = 2**n * (n + 3 + 2 * len(times))
+    _check_size(needed, f"average output for {n} neurons at {len(times)} time(s)")
+    if args.packet:
+        packets = [parse_packet(_read_text(p)) for p in args.packet]
+    else:
+        packets = [WavePacket.uniform() for _ in inputs]
+    if args.nmax is not None:
+        packets = [p.truncate(args.nmax) for p in packets]
+    if len(packets) != len(inputs):
+        raise ValueError(
+            f"need {len(inputs)} packets for input neurons {list(inputs)}, "
+            f"got {len(packets)}"
+        )
+    columns = np.full((1, 2**n, n + 3), ord("p"), np.uint8)  # "p_", the bits, a free byte
+    columns[..., 1], columns[0, :, 2:-1] = ord("_"), _bit_digits(np.arange(2**n), n)
+    lines = [b"t,trace,purity,entropy_bits," + _csv_lines(columns)]
+    for t in times:
+        # The weights are the spectrum, so no 4^N matrix is needed.
+        w, idx, amps = averaged_ensemble(net, packets, t=t, input_neurons=inputs)
+        row = np.zeros((1, 4 + 2**n))
+        row[0, :4] = t, w.sum(), w @ w, _entropy_bits(w)
+        row[0, 4 + idx] = np.clip(w @ np.abs(amps) ** 2, 0.0, None)
+        lines.append(_csv_lines(_g12(row)))
+    _emit(b"".join(lines).decode(), args.out)
+    return 0
 
 
 @functools.cache
@@ -416,27 +375,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        scenario=getattr(args, "name", None),
-        net_path=getattr(args, "net", None),
-        fn_path=getattr(args, "fn", None),
-        packet_paths=tuple(getattr(args, "packet", None) or ()),
-        phis=tuple(parse_phi(p) for p in getattr(args, "phi", None) or ()),
-        seed=getattr(args, "seed", analysis.DEFAULT_SEED),
-        samples=getattr(args, "samples", 100),
-        n_max=getattr(args, "nmax", None),
-        times=tuple(getattr(args, "t", (0.0,))),
-        out_path=getattr(args, "out", None),
-    )
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return run_command(_config_from_args(args))
+        return run_command(args)
     except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -299,11 +299,11 @@ def _bit_digits(indices: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(octets, axis=1)[:, 32 - n :] + np.uint8(ord("0"))
 
 
-def _branch_rows(idx, amps: np.ndarray, n: int, threshold: float):
-    """(``_bit_digits``, amplitudes) of the branches with |amplitude| above ``threshold``."""
+def _branch_rows(idx, amps: np.ndarray, threshold: float):
+    """(basis indices, amplitudes) of the branches with |amplitude| above ``threshold``."""
     # hypot rounds as abs() does on one amplitude; np.abs on arrays can be an ulp off.
     keep = np.flatnonzero(np.hypot(amps.real, amps.imag) > threshold)
-    return _bit_digits(keep if idx is None else idx[keep], n), amps[keep]
+    return keep if idx is None else idx[keep], amps[keep]
 
 
 def branch_amplitudes(
@@ -317,8 +317,9 @@ def branch_amplitudes(
     threshold = float(threshold)
     if threshold < 0.0:
         raise ValueError(f"threshold must be non-negative, got {threshold}")
-    bits, amps = _branch_rows(None, state.amps, state.n_qubits, threshold)
-    return list(zip(bits.view(f"S{state.n_qubits}").ravel().astype(str).tolist(), amps.tolist()))
+    n = state.n_qubits
+    kept, amps = _branch_rows(None, state.amps, threshold)
+    return list(zip(_bit_digits(kept, n).view(f"S{n}").ravel().astype(str).tolist(), amps.tolist()))
 
 
 def boolean_network_for(g: BooleanFunction) -> NetworkSpec:
@@ -342,19 +343,37 @@ class TruthCase:
     passed: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TruthTableReport:
-    """Per-input results of a truth-table verification run."""
+    """Per-input results of a truth-table verification run: input s puts weight
+    ``probabilities[s]`` on its expected branch and passes within ``tolerance`` of 1."""
 
-    cases: tuple[TruthCase, ...]
+    function: BooleanFunction
+    probabilities: np.ndarray
     tolerance: float
 
     @property
+    def verdicts(self) -> np.ndarray:
+        return np.abs(self.probabilities - 1.0) <= self.tolerance
+
+    @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.cases)
+        return bool(self.verdicts.all())
+
+    @property
+    def cases(self) -> tuple[TruthCase, ...]:
+        """One ``TruthCase`` per input, built on demand."""
+        return self._cases(range(len(self.probabilities)))
 
     def failures(self) -> list[TruthCase]:
-        return [c for c in self.cases if not c.passed]
+        return list(self._cases(np.flatnonzero(~self.verdicts).tolist()))
+
+    def _cases(self, inputs) -> tuple[TruthCase, ...]:
+        g, probs, verdicts = self.function, self.probabilities.tolist(), self.verdicts.tolist()
+        return tuple(
+            TruthCase(format(s, f"0{g.m}b"), format(g.outputs[s], f"0{g.n}b"), probs[s], verdicts[s])
+            for s in inputs
+        )
 
 
 def _truth_probabilities(net: NetworkSpec, g: BooleanFunction) -> np.ndarray:
@@ -402,16 +421,7 @@ def verify_truth_table(
             f"network layers {list(net.layers)} do not match function arities "
             f"({g.m}, {g.n})"
         )
-    cases = [
-        TruthCase(
-            input_bits=format(s, f"0{g.m}b"),
-            expected_bits=format(g.outputs[s], f"0{g.n}b"),
-            probability=prob,
-            passed=abs(prob - 1.0) <= tol,
-        )
-        for s, prob in enumerate(_truth_probabilities(net, g).tolist())
-    ]
-    return TruthTableReport(cases=tuple(cases), tolerance=float(tol))
+    return TruthTableReport(g, _truth_probabilities(net, g), float(tol))
 
 
 # ---------------------------------------------------------------------------

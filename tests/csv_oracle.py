@@ -1,9 +1,15 @@
-"""The CLI's CSV text as its per-value ``%.12g`` templates wrote it.
+"""Every ``qfnn`` CSV as the code that the package's one writer replaced wrote it.
 
-Tests only: the CLI now formats each distinct number once into a byte
-matrix, and these are the templates it replaced, fed from the public API.
-Bit strings come from ``format`` on each basis index, not from the package.
+Tests only.  The CLI now formats each distinct number once into a byte
+matrix, and ``run_csv``, ``verify_csv`` and ``average_csv`` are the per-value
+``%.12g`` templates it replaced, fed from the public API; bit strings come
+from ``format`` on each basis index, not from the package.  Scenario reports
+now hold columns, and ``scenario_csv`` is the ``csv.writer`` of one record
+per row, with its per-value cell text and elementwise NumPy verdict.
 """
+
+import csv
+import io
 
 import numpy as np
 
@@ -42,3 +48,33 @@ def average_csv(net, packets, times, inputs) -> str:
         row = (t, w.sum(), w @ w, _entropy_bits(w), *probs.tolist())
         text += "\n" + ",".join(["%.12g"] * len(row)) % row
     return text + "\n"
+
+
+def numpy_path_verdict(expected, observed, tolerance):
+    """|expected - observed| <= tolerance elementwise, shapes equal, compared in NumPy."""
+    e = np.asarray(expected, dtype=np.complex128)
+    o = np.asarray(observed, dtype=np.complex128)
+    with np.errstate(invalid="ignore", over="ignore"):
+        return e.shape == o.shape and bool(np.all(np.abs(e - o) <= float(tolerance)))
+
+
+def cell_text(value) -> str:
+    """One value's cell: ``%.12g`` of the real part, ``+imj`` when complex, arrays by ``;``."""
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return ";".join(cell_text(v) for v in np.ravel(np.asarray(value)))
+    value = complex(value)
+    if value.imag == 0.0:
+        return f"{value.real:.12g}"
+    return f"{value.real:.12g}{value.imag:+.12g}j"
+
+
+def scenario_csv(scenario, rows) -> str:
+    """A scenario report of ``(description, expected, observed, tolerance)`` rows."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["scenario", "assertion", "expected", "observed", "tolerance", "pass"])
+    for description, expected, observed, tolerance in rows:
+        passed = numpy_path_verdict(expected, observed, tolerance)
+        writer.writerow([scenario, description, cell_text(expected), cell_text(observed),
+                         f"{float(tolerance):.3g}", "true" if passed else "false"])
+    return buf.getvalue()

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import csv_oracle
+from csv_oracle import numpy_path_verdict
 from dense_oracle import run_dense
 from qfnn import (
     BooleanFunction,
@@ -31,7 +33,7 @@ from qfnn import (
     xor_reflexivity_check,
 )
 from qfnn import analysis, gates, network
-from qfnn.analysis import MAX_SAMPLES, AssertionRecord, ScenarioReport, _record
+from qfnn.analysis import _SCALARS, MAX_SAMPLES, ScenarioReport
 
 EDGE_PHIS = [
     None,
@@ -88,7 +90,7 @@ class TestCsvRendering:
         report = table2_check()
         lines = report.to_csv().strip().split("\n")
         assert lines[0] == "scenario,assertion,expected,observed,tolerance,pass"
-        assert len(lines) == 1 + len(report.records)
+        assert len(lines) == 1 + len(report.verdicts)
         assert all(line.endswith(",true") for line in lines[1:])
 
     def test_deterministic_across_calls(self):
@@ -103,17 +105,13 @@ class TestCsvRendering:
 
     def test_failing_record_renders_false(self):
         report = ScenarioReport("demo")
-        report.records.append(
-            AssertionRecord("made-up check", 1.0, 0.0, 1e-12, False)
-        )
+        report.check("made-up check", 1.0, 0.0, 1e-12)
         assert not report.passed
         assert report.to_csv().strip().split("\n")[1].endswith(",false")
 
     def test_complex_and_array_cells(self):
         report = ScenarioReport("demo")
-        report.records.append(
-            AssertionRecord("vector", np.array([1.0, 1j]), np.array([1.0, 1j]), 1e-12, True)
-        )
+        report.check("vector", np.array([1.0, 1j]), np.array([1.0, 1j]), 1e-12)
         row = report.to_csv().strip().split("\n")[1]
         assert "1;0+1j" in row
 
@@ -316,9 +314,9 @@ class TestFamilyNetworks:
 
         monkeypatch.setattr(network, "_run_steps", corrupt)
         report = boolean_mn_check(seed=3, samples=100)
-        failed = [r.description for r in report.records if not r.passed]
+        failed = [d for d, passed in zip(report.descriptions, report.verdicts) if not passed]
         assert failed == ["m=3 n=3 sample 37: classical drive lands on the table output"]
-        assert report.records[32 + 37].observed == 0.25
+        assert report.observed[32 + 37] == "0.25"
 
     def test_max_samples_stays_within_its_budget(self):
         """Under 4 s, and the process's peak RSS grows by under 64 MB."""
@@ -330,7 +328,7 @@ class TestFamilyNetworks:
             "report = boolean_mn_check(seed=1, samples=MAX_SAMPLES)\n"
             "wall = time.perf_counter() - start\n"
             "grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
-            "print(report.passed, len(report.records), wall, grown)\n"
+            "print(report.passed, len(report.verdicts), wall, grown)\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
@@ -338,14 +336,6 @@ class TestFamilyNetworks:
         assert passed == "True" and int(records) == MAX_SAMPLES + 33
         assert float(wall) < 4.0, f"{float(wall):.2f} s"
         assert int(grown_kb) < 64 * 1024, f"peak RSS grew by {int(grown_kb) / 1024:.1f} MB"
-
-
-def numpy_path_verdict(expected, observed, tolerance):
-    """The elementwise NumPy comparison every record made before the scalar fast path."""
-    e = np.asarray(expected, dtype=np.complex128)
-    o = np.asarray(observed, dtype=np.complex128)
-    with np.errstate(invalid="ignore"):
-        return e.shape == o.shape and bool(np.all(np.abs(e - o) <= float(tolerance)))
 
 
 SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-300, -1e308, 1e308]
@@ -369,18 +359,55 @@ cells = st.one_of(
     st.lists(st.floats(-2.0, 2.0), max_size=3).map(np.array),
     st.lists(st.complex_numbers(max_magnitude=2.0), max_size=3).map(np.array),
 )
+tolerances = st.sampled_from([0.0, 1e-12, 1e-10, 0.5, 1, np.inf, np.nan])
 
 
 @settings(max_examples=300)
-@given(cells, cells, st.sampled_from([0.0, 1e-12, 1e-10, 0.5, 1, np.inf, np.nan]))
-def test_scalar_records_decide_as_the_numpy_path(expected, observed, tolerance):
-    record = _record("cell", expected, observed, tolerance)
-    assert record.passed is numpy_path_verdict(expected, observed, tolerance)
-    assert record.expected is expected and record.observed is observed
-    assert record.tolerance == float(tolerance) or np.isnan(tolerance)
+@given(cells, cells, tolerances, st.lists(reals, max_size=3))
+def test_scalar_records_decide_as_the_numpy_path(expected, observed, tolerance, column):
+    report = ScenarioReport("demo")
+    report.check("cell", expected, observed, tolerance)
+    assert report.verdicts[0] is numpy_path_verdict(expected, observed, tolerance)
+    assert report.expected == [csv_oracle.cell_text(expected)]
+    assert report.observed == [csv_oracle.cell_text(observed)]
+    assert report.tolerances == [float(tolerance)] or np.isnan(tolerance)
+    if isinstance(expected, _SCALARS):
+        report.check_all(["row"] * len(column), expected, column, tolerance)
+        assert report.verdicts[1:] == [numpy_path_verdict(expected, o, tolerance) for o in column]
 
 
 def test_shape_mismatched_cells_fail():
     for expected, observed in ((1.0, np.array([1.0])), (np.array([1.0, 1.0]), np.array([1.0])), (np.zeros((1, 2)), np.zeros(2))):
-        assert not _record("cell", expected, observed, 1.0).passed
+        report = ScenarioReport("demo")
+        report.check("cell", expected, observed, 1.0)
+        assert report.verdicts == [False]
         assert not numpy_path_verdict(expected, observed, 1.0)
+
+
+#: Text fields with every character ``csv.writer`` treats specially, and some it does not.
+fields = st.text(st.sampled_from([",", '"', "\n", "\r", " ", ";", "a", "é", "中", "\x00"]) | st.characters())
+
+
+@settings(max_examples=300)
+@given(fields, st.lists(st.tuples(fields, cells, cells, tolerances), max_size=4))
+def test_scenario_csv_is_the_csv_writer(scenario, rows):
+    report = ScenarioReport(scenario)
+    for row in rows:
+        report.check(*row)
+    assert report.to_csv() == csv_oracle.scenario_csv(scenario, rows)
+
+
+@settings(max_examples=200)
+@given(fields, scalars, st.lists(st.tuples(fields, reals), max_size=6), tolerances)
+def test_check_all_is_the_csv_writer(scenario, expected, rows, tolerance):
+    report = ScenarioReport(scenario)
+    report.check_all([d for d, _ in rows], expected, [o for _, o in rows], tolerance)
+    expected_rows = [(d, expected, o, tolerance) for d, o in rows]
+    assert report.to_csv() == csv_oracle.scenario_csv(scenario, expected_rows)
+
+
+def test_check_all_needs_one_description_per_value():
+    report = ScenarioReport("demo")
+    with pytest.raises(ValueError, match="2 descriptions for 3 observed values"):
+        report.check_all(["a", "b"], 1.0, [1.0, 1.0, 1.0], 0.0)
+    assert report.verdicts == [] and report.descriptions == []

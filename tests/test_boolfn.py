@@ -217,6 +217,13 @@ class TestTruthTableText:
         g = BooleanFunction(2, 2, (0, 3, 1, 2))
         assert parse_truth_table(format_truth_table(g)) == g
 
+    @settings(max_examples=100)
+    @given(st.integers(1, 6), st.integers(1, 5), st.data())
+    def test_round_trip_of_generated_tables(self, m, n, data):
+        table = data.draw(st.lists(st.integers(0, 2**n - 1), min_size=2**m, max_size=2**m))
+        g = BooleanFunction(m, n, table)
+        assert parse_truth_table(format_truth_table(g)) == g
+
     def test_comments_and_blank_lines_ignored(self):
         text = """
         # exclusive OR

@@ -1,5 +1,6 @@
 """Tests for the command-line front end: parsers, file formats, exit codes."""
 
+import contextlib
 import csv
 import io
 import math
@@ -11,6 +12,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import csv_oracle
 from qfnn import (
@@ -65,6 +68,32 @@ kind = post_unitary
 targets = [4]
 gate = hadamard
 """
+
+#: Config words, separators and hostile text that mutations splice into valid configs.
+TOKENS = ["[step]", "kind", "boolean", "post_unitary", "controls", "targets", "table", "layers",
+          "inputs", "gate", "hadamard", "not", "=", ":", ",", "->", "[", "]", "#", "\n", " ", "0",
+          "1", "-1", "01", "10", "24", "99999999999999999999", "1e5", "nan", "é", "\x00", "\t", "\r"]
+
+
+@st.composite
+def mutated_configs(draw):
+    """A valid config with one to four character-level or line-level mutations."""
+    text = draw(st.sampled_from([MIRROR_NET, HV_NET, "layers = [2, 1]\n"]))
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 8)))
+        piece = draw(st.sampled_from(TOKENS) | st.text(max_size=3))
+        lines = text.splitlines(keepends=True) or [""]
+        k = draw(st.integers(0, len(lines) - 1))
+        text = draw(st.sampled_from([
+            text[:i] + text[j:],
+            text[:i] + piece + text[i:],
+            text[:i] + piece + text[j:],
+            "".join(lines[:k] + [lines[k]] + lines[k:]),
+            "".join(lines[:k] + lines[k + 1 :] + [lines[k]]),
+        ]))
+    return text
+
 
 MIRROR_FN = "0 -> 0\n1 -> 1\n"
 NOT_FN = "0 -> 1\n1 -> 0\n"
@@ -189,6 +218,21 @@ class TestNetworkConfig:
         )
         with pytest.raises(ParseError, match="inline table"):
             parse_network_config(text)
+
+    @settings(max_examples=300)
+    @given(mutated_configs())
+    def test_mutated_configs_fail_only_with_parse_errors(self, tmp_path_factory, text):
+        """A malformed config gives ``ParseError``, and ``run`` exits 2 with one ``error:`` line."""
+        try:
+            parse_network_config(text)
+        except ParseError:
+            path = tmp_path_factory.mktemp("fuzz") / "mutated.net"
+            path.write_text(text, encoding="utf-8")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["run", "--net", str(path), "--phi", "0,0,0,0"])
+            assert code == 2
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 class TestScenarioCommand:
@@ -325,6 +369,27 @@ class TestRunCommand:
         code = main(["run", "--net", str(net), "--phi", "0,0,0,pi"])
         assert code == 2
         assert capsys.readouterr().err == f"error: out of memory: {reported}\n"
+
+    def test_output_past_the_size_limit_exits_two_before_formatting(self, tmp_path, capsys):
+        """A Hadamard on each of 22 neurons keeps all 2^22 branches: 113 MB of CSV or more.
+
+        Every row takes N + 5 bytes or more, so full-support runs fit up to N = 21.
+        """
+        assert 2**21 * (21 + 5) <= 64 << 20 < 2**22 * (22 + 5)
+        net, out = tmp_path / "spread.net", tmp_path / "spread.csv"
+        targets = list(range(1, 23))
+        net.write_text(f"layers = [1, 21]\n[step]\nkind = post_unitary\ntargets = {targets}\n"
+                       "gate = hadamard\n", encoding="utf-8")
+        start = time.perf_counter()
+        code = main(["run", "--net", str(net), "--phi", "0,0,0,1", "--out", str(out)])
+        elapsed = time.perf_counter() - start
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: run output of {2**22} branches needs at least {2**22 * 27} bytes of CSV; "
+            f"the limit is {64 << 20}\n"
+        )
+        assert elapsed < 2.0, elapsed
+        assert not out.exists()
 
 
 class TestVerifyCommand:
@@ -490,7 +555,8 @@ class TestModuleEntryPoint:
 
 def test_no_command_loads_numpy_ma(tmp_path):
     """``numpy.ma`` costs ~1 MB of RSS; ``np.unique`` without indices, ``np.union1d``
-    and ``np.setdiff1d`` import it, so no command may reach them."""
+    and ``np.setdiff1d`` import it, so no command may reach them.  Nor may any
+    command load ``csv``: every output goes through ``qfnn.csvtext``."""
     (tmp_path / "hv.net").write_text(HV_NET, encoding="utf-8")
     (tmp_path / "mirror.net").write_text(MIRROR_NET, encoding="utf-8")
     (tmp_path / "mirror.fn").write_text(MIRROR_FN, encoding="utf-8")
@@ -508,6 +574,7 @@ def test_no_command_loads_numpy_ma(tmp_path):
         f"for argv in {commands!r}:\n"
         "    assert main(argv) == 0, argv\n"
         "    assert 'numpy.ma' not in sys.modules, argv\n"
+        "    assert 'csv' not in sys.modules, argv\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -157,7 +157,7 @@ def test_sliced_truth_table_drives_match_one_batch(monkeypatch):
     for budget, drives in ((64, 16), (16, 4), (1, 1)):
         del batches[:]
         monkeypatch.setattr(network, "_BATCH_AMPS", budget)
-        assert verify_truth_table(net, g) == whole
+        np.testing.assert_array_equal(verify_truth_table(net, g).probabilities, whole.probabilities)
         assert batches == [(1, drives)] * (16 // drives)
     assert whole.passed and len(whole.cases) == 16
 

@@ -1,6 +1,6 @@
 """The CLI's number formatter and CSV bodies against the per-value templates.
 
-``cli._g12`` formats each distinct float64 bit pattern once; these
+``csvtext._g12`` formats each distinct float64 bit pattern once; these
 properties hold it, and the ``run``, ``verify`` and ``average`` CSVs built
 on it, to the ``%.12g`` templates kept in ``csv_oracle.py``.
 """
@@ -25,7 +25,8 @@ from qfnn import (
     parse_packet,
     random_packet,
 )
-from qfnn.cli import _G12_WIDTH, _g12, main, parse_network_config
+from qfnn.cli import main, parse_network_config
+from qfnn.csvtext import _G12_WIDTH, _g12
 
 SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e300, -1e300,
             1e-300, -1e-300, 1.0, -1.0, math.inf, -math.inf, math.nan]

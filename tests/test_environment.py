@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qfnn import (
@@ -386,6 +386,26 @@ class TestPacketText:
             [p.coefficients[m] for m in p.modes],
             [q.coefficients[m] for m in q.modes],
             atol=1e-15,
+        )
+
+    @settings(max_examples=100)
+    @given(st.dictionaries(
+        st.tuples(*[st.integers(-3, 3) | st.sampled_from([-MAX_MODE_COMPONENT, MAX_MODE_COMPONENT])] * 4),
+        st.complex_numbers(max_magnitude=10.0) | st.sampled_from([0.0, 1e-300, -0.0j]),
+        min_size=1, max_size=8,
+    ))
+    def test_round_trip_of_generated_packets(self, coefficients):
+        norm = math.sqrt(sum(abs(v) ** 2 for v in coefficients.values()))
+        assume(norm > 1e-3)
+        p = WavePacket({mode: v / norm for mode, v in coefficients.items()})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q = parse_packet(format_packet(p))
+        assert p.modes == q.modes
+        np.testing.assert_allclose(
+            [p.coefficients[m] for m in p.modes],
+            [q.coefficients[m] for m in q.modes],
+            rtol=0, atol=1e-15,
         )
 
     def test_comments_and_blanks(self):
