@@ -28,7 +28,7 @@ import numpy as np
 from . import analysis
 from .boolfn import parse_truth_table
 from .csvtext import _G12_WIDTH, _csv_lines, _g12
-from .environment import WavePacket, averaged_ensemble, parse_packet
+from .environment import WavePacket, _averaged_ensembles, parse_packet
 from .errors import ParseError
 from .gates import GateParams, fixed_gate
 from .network import (
@@ -307,9 +307,8 @@ def run_command(args: argparse.Namespace) -> int:
     columns = np.full((1, 2**n, n + 3), ord("p"), np.uint8)  # "p_", the bits, a free byte
     columns[..., 1], columns[0, :, 2:-1] = ord("_"), _bit_digits(np.arange(2**n), n)
     lines = [b"t,trace,purity,entropy_bits," + _csv_lines(columns)]
-    for t in times:
-        # The weights are the spectrum, so no 4^N matrix is needed.
-        w, idx, amps = averaged_ensemble(net, packets, t=t, input_neurons=inputs)
+    # The weights are the spectrum, so no 4^N matrix is needed.
+    for t, (w, idx, amps) in zip(times, _averaged_ensembles(net, packets, times, inputs)):
         row = np.zeros((1, 4 + 2**n))
         row[0, :4] = t, w.sum(), w @ w, _entropy_bits(w)
         row[0, 4 + idx] = np.clip(w @ np.abs(amps) ** 2, 0.0, None)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -33,9 +33,13 @@ _TWO_PI = 2.0 * math.pi
 _FOUR_PI_SQ = 4.0 * math.pi**2
 _NORM_ATOL = 1e-12
 _RENORM_WARN = 1e-6
-#: Largest |mode component| a packet takes: _mode_pairs packs the (n0, n1, n2)
-#: spans into one int64 key, which holds (2e6 + 2)^3 but not (2^21 + 2)^3.
+#: Largest |mode component| a packet takes: the mode-pair search packs the (n1, n2)
+#: spans into one float64 integer, exact while (2e6 + 3)^2 stays below 2^53.
 MAX_MODE_COMPONENT = 10**6
+#: |n|^2 |t| from which an eigenphase's float64 spacing is >= 1 rad: no digit is left.
+_PHASE_LIMIT = 2.0**52
+#: Amplitudes (rows x support bound) of the times that share one runner call: 1 MiB.
+_ENSEMBLE_AMPS = 2**16
 
 
 def _check_mode(mode) -> ModeIndex:
@@ -96,7 +100,7 @@ class WavePacket:
     __slots__ = ("_modes", "_values", "_energies", "_truncation")
 
     def __init__(self, coefficients: Mapping[ModeIndex, complex], truncation: int | None = None):
-        items = []
+        modes, values = [], []
         for mode, value in dict(coefficients).items():
             mode = _check_mode(mode)
             if max(map(abs, mode)) > MAX_MODE_COMPONENT:
@@ -106,36 +110,33 @@ class WavePacket:
             value = complex(value)
             if not (math.isfinite(value.real) and math.isfinite(value.imag)):
                 raise ValueError(f"coefficient for mode {mode} must be finite")
-            items.append((mode, value))
-        if not items:
+            modes.append(mode)
+            values.append(value)
+        if not modes:
             raise ValueError("wave packet needs at least one mode")
-        if len({mode for mode, _ in items}) != len(items):
+        if len(set(modes)) != len(modes):
             raise ValueError("duplicate modes in coefficient mapping")
-        items.sort(key=lambda kv: kv[0])
-        norm = _norm(v for _, v in items)
-        norm_sq = norm * norm
-        if abs(norm_sq - 1.0) > _NORM_ATOL:
-            raise ValueError(
-                f"coefficients are not normalized: sum |A|^2 = {norm_sq!r}"
-            )
-        observed = max(max(abs(k) for k in mode) for mode, _ in items)
-        if truncation is None:
-            truncation = observed
-        else:
-            truncation = int(truncation)
-            if truncation < observed:
-                raise ValueError(
-                    f"mode components reach {observed}, beyond truncation {truncation}"
-                )
-        self._modes = np.array([mode for mode, _ in items], dtype=np.int64)
-        self._values = np.array([v for _, v in items], dtype=np.complex128)
-        self._energies = np.array(
-            [energy(mode) for mode, _ in items], dtype=np.int64
-        )
-        self._modes.setflags(write=False)
-        self._values.setflags(write=False)
-        self._energies.setflags(write=False)
-        self._truncation = truncation
+        norm = _norm(values)
+        if abs(norm * norm - 1.0) > _NORM_ATOL:
+            raise ValueError(f"coefficients are not normalized: sum |A|^2 = {norm * norm!r}")
+        WavePacket._trusted(modes, values, self)
+        cap = self._truncation if truncation is None else int(truncation)
+        if cap < self._truncation:
+            raise ValueError(f"mode components reach {self._truncation}, beyond truncation {cap}")
+        self._truncation = cap
+
+    @classmethod
+    def _trusted(cls, modes, values, packet=None) -> "WavePacket":
+        """Fill ``packet`` (default: a new one) from modes and values that pass ``__init__``."""
+        packet = cls.__new__(cls) if packet is None else packet
+        modes = np.array(modes, dtype=np.int64).reshape(-1, 4)
+        order = np.lexsort(modes.T[::-1])  # lexicographic, n0 first
+        packet._modes, packet._values = modes[order], np.array(values, dtype=np.complex128)[order]
+        packet._energies = (packet._modes * packet._modes).sum(axis=1)
+        for arr in (packet._modes, packet._values, packet._energies):
+            arr.setflags(write=False)
+        packet._truncation = int(np.abs(modes).max())
+        return packet
 
     @property
     def truncation(self) -> int:
@@ -154,9 +155,10 @@ class WavePacket:
         """Sum of |A|^2 over the stored coefficients."""
         return float(np.vdot(self._values, self._values).real)
 
-    def evolved_coefficients(self, t: float) -> np.ndarray:
-        """Coefficients at time ``t``: A_n exp(-i |n|^2 t), aligned with ``modes``."""
-        return self._values * np.exp(-1j * self._energies * float(t))
+    def evolved_coefficients(self, t) -> np.ndarray:
+        """A_n exp(-i |n|^2 t), aligned with ``modes``; one row per time for arrays of t."""
+        t = np.asarray(t, dtype=np.float64)
+        return self._values * np.exp(-1j * self._energies * t[..., None])
 
     def truncate(self, n_max: int) -> "WavePacket":
         """Drop modes with any |component| above ``n_max`` and renormalize."""
@@ -196,27 +198,8 @@ def evaluate_packet(packet: WavePacket, phi, t: float = 0.0) -> complex:
     return complex(np.sum(packet._values * np.exp(1j * phases)) / _FOUR_PI_SQ)
 
 
-def _mode_pairs(modes: np.ndarray, shift) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (a, b) with modes[b, :3] == modes[a, :3] + shift.
-
-    Packets keep their modes sorted, so the (n0, n1, n2) keys are ascending
-    and the partners of each a form one run found by binary search; only the
-    matching pairs are ever built.
-    """
-    head = modes[:, :3] - modes[:, :3].min(axis=0)
-    dims = tuple(head.max(axis=0) + 2)  # room for a +1 shift on every axis
-    key = np.ravel_multi_index(head.T, dims)
-    wanted = np.ravel_multi_index((head + shift).T, dims)
-    start = np.searchsorted(key, wanted, "left")
-    counts = np.searchsorted(key, wanted, "right") - start
-    a = np.repeat(np.arange(len(key)), counts)
-    # Within a's run, b counts up from start[a].
-    b = np.arange(counts.sum()) + np.repeat(start - np.cumsum(counts) + counts, counts)
-    return a, b
-
-
-def _averaged_qubit_density(packet: WavePacket, t: float) -> np.ndarray:
-    """Exact average of the excited-neuron projector over |Psi(phi, t)|^2, one neuron.
+def _averaged_densities(packets: Sequence[WavePacket], times: np.ndarray) -> np.ndarray:
+    """Exact averages of the excited-neuron projector over |Psi(phi, t)|^2: (inputs, times, 2, 2).
 
     The gate response of a quiescent neuron is the pure state
     (e^{i(phi0+phi1)} cos(phi3/4), -e^{i(phi0-phi2)} sin(phi3/4)), and
@@ -230,18 +213,97 @@ def _averaged_qubit_density(packet: WavePacket, t: float) -> np.ndarray:
     sin^2(phi/4) = (1 - cos(phi/2))/2 gives pi [d3 = 0] - i d3 / (d3^2 - 1/4),
     and -cos(phi/4) sin(phi/4) = -sin(phi/2)/2 gives 1 / (2 d3^2 - 1/2).
     Modes are distinct, so d = 0 only for a = b: the flat part of the
-    diagonal is sum |c|^2 / 2, and the trace sum |c|^2.
+    diagonal is sum |c|^2 / 2, and the trace sum |c|^2.  Only the kept pairs are
+    built: each mode's partners form one run of the ascending keys, found by binary search.
     """
-    modes = packet._modes
-    c = packet.evolved_coefficients(t)
-    flat = 0.5 * np.vdot(c, c).real
-    a, b = _mode_pairs(modes, (0, 0, 0))
-    d3 = (modes[a, 3] - modes[b, 3]).astype(np.float64)
-    wave = (c[a] * c[b].conj() * (1j * d3 / (_TWO_PI * (d3 * d3 - 0.25)))).sum().real
-    a, b = _mode_pairs(modes, (0, 1, 1))
-    d3 = (modes[a, 3] - modes[b, 3]).astype(np.float64)
-    r01 = complex((c[a] * c[b].conj() / (_TWO_PI * (2.0 * d3 * d3 - 0.5))).sum())
-    return np.array([[flat + wave, r01], [r01.conjugate(), flat - wave]], dtype=np.complex128)
+    sizes = [len(p._values) for p in packets]
+    bounds, modes = np.cumsum([0] + sizes), np.concatenate([p._modes for p in packets])
+    c = np.concatenate([p.evolved_coefficients(times) for p in packets], axis=1)
+    # Packets keep their modes sorted, so the keys (packet, n0) + i (n1, n2) ascend: complex
+    # values sort lexicographically, and each part is an exact integer below 2^53.
+    h = modes[:, :3] - modes[:, :3].min(axis=0)
+    d = h.max(axis=0) + 2  # room for a +1 shift on every axis
+    packet = np.repeat(np.arange(len(packets)), sizes)
+    key = packet * d[0] + h[:, 0] + 1j * (h[:, 1] * d[2] + h[:, 2])
+
+    def pair_sums(shift, term):  # over the pairs (a, b) with key[b] == key[a] + shift
+        start = np.searchsorted(key, key + shift, "left")
+        counts = np.searchsorted(key, key + shift, "right") - start
+        a = np.repeat(np.arange(len(key)), counts)
+        # Within a's run, b counts up from start[a].
+        b = np.arange(counts.sum()) + np.repeat(start - np.cumsum(counts) + counts, counts)
+        terms = term(c[:, a] * c[:, b].conj(), (modes[a, 3] - modes[b, 3]).astype(np.float64))
+        cuts = np.searchsorted(a, bounds)
+        return np.array([terms[:, i:j].sum(axis=1) for i, j in zip(cuts, cuts[1:])])
+
+    parts = [c[:, i:j] for i, j in zip(bounds, bounds[1:])]
+    flat = 0.5 * np.array([np.vecdot(part, part).real for part in parts])
+    wave = pair_sums(0, lambda cc, d3: cc * (1j * d3 / (_TWO_PI * (d3 * d3 - 0.25))))
+    r01 = pair_sums(1j * (d[2] + 1), lambda cc, d3: cc / (_TWO_PI * (2.0 * d3 * d3 - 0.5)))
+    rho = np.empty((len(packets), len(times), 2, 2), dtype=np.complex128)
+    rho[..., 0, 0], rho[..., 0, 1] = flat + wave.real, r01
+    rho[..., 1, 0], rho[..., 1, 1] = r01.conj(), flat - wave.real
+    return rho
+
+
+def _averaged_qubit_density(packet: WavePacket, t: float) -> np.ndarray:
+    """``_averaged_densities`` of one packet at one time, as a 2x2 matrix."""
+    return _averaged_densities([packet], np.array([float(t)]))[0, 0]
+
+
+def _averaged_ensembles(
+    net: NetworkSpec, packets: Sequence[WavePacket], times: Sequence[float], input_neurons=None
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``averaged_ensemble`` at each time, bit for bit, checked at the first ``next``: one ``eigh``
+    for all times, then one runner call per group within _ENSEMBLE_AMPS rows x support bound."""
+    times = np.array([float(t) for t in times])
+    for t in times.tolist():
+        if not math.isfinite(t):
+            raise ValueError(f"t must be finite, got {t!r}")
+    packets = list(packets)
+    if not packets:
+        raise ValueError("need at least one input packet")
+    for p in packets:
+        if not isinstance(p, WavePacket):
+            raise ValueError(f"packets must be WavePacket instances, got {type(p).__name__}")
+    n = net.n_neurons
+    inputs = tuple(range(1, len(packets) + 1) if input_neurons is None else input_neurons)
+    if len(packets) != len(inputs):
+        raise ValueError(
+            f"{len(packets)} packets for {len(inputs)} input neurons; counts must match"
+        )
+    inputs = _checked_inputs(inputs, n)
+    far = max(times.tolist(), key=abs, default=0.0)
+    for q, energy_max in zip(inputs, (int(p._energies.max()) for p in packets)):
+        if energy_max * abs(far) >= _PHASE_LIMIT:
+            raise ValueError(f"input neuron {q}: energy {energy_max} at t={far!r} reaches "
+                             "|n|^2 |t| >= 2^52, where float64 keeps no digit of the phase")
+    rho = _averaged_densities(packets, times)
+    # Packets hold unit norm, so each trace, sum |c|^2, is 1 within ~1e-12.
+    lam, vecs = np.linalg.eigh(rho / (rho[..., :1, :1].real + rho[..., 1:, 1:].real))
+    if not (lam[..., 0] >= _EIG_FLOOR).all():
+        k, j = np.argwhere(~(lam[..., 0] >= _EIG_FLOOR).T)[0]  # the earliest time first
+        raise ValueError(
+            f"averaged input density of neuron {inputs[j]} has eigenvalue {lam[j, k, 0]:g}"
+        )
+    # Row r takes eigenpair bit j of r on input j, the first input most significant.
+    m = len(inputs)
+    picks = (np.arange(2**m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
+    weights = np.prod([lam[j][:, pick] for j, pick in enumerate(picks.T)], axis=0)
+    vecs = np.swapaxes(vecs, -1, -2)  # vecs[j, k, i]: eigenvector i of input j at time k
+    rotated = sum(len(targets) for targets, _ in net._plan if targets is not None)
+    per_group = max(1, _ENSEMBLE_AMPS // (2**m * min(2**n, 2**m << rotated)))
+    for lo in range(0, len(times), per_group):
+        w, rows = weights[lo : lo + per_group], vecs[:, lo : lo + per_group]
+        keep = w != 0.0
+        columns = np.stack([rows[j][:, pick] for j, pick in enumerate(picks.T)], axis=2)
+        idx, amps = _run_steps(*_product_state(columns[keep], inputs, n), net)
+        norm_dev = float(np.max(np.abs((np.abs(amps) ** 2).sum(axis=1) - 1.0)))
+        if not norm_dev <= _NORM_ATOL:
+            raise ValueError(f"ensemble state norms drifted by {norm_dev:g}")
+        idx = np.arange(2**n) if idx is None else idx
+        ends = np.cumsum(keep.sum(axis=1)).tolist()
+        yield from ((wt[kept], idx, amps[s:e]) for wt, kept, s, e in zip(w, keep, [0] + ends, ends))
 
 
 def averaged_ensemble(
@@ -262,45 +324,9 @@ def averaged_ensemble(
     average at unit trace.  U is unitary, so the rho_q eigenvectors pushed
     through the steps are its eigenstates and the products of their
     eigenvalues its spectrum; no 4^N matrix is formed.
+    Each phase |n|^2 t is off by ~|n|^2 |t| 2^-52 rad, so |n|^2 |t| >= 2^52 is refused.
     """
-    t = float(t)
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t!r}")
-    packets = list(packets)
-    if not packets:
-        raise ValueError("need at least one input packet")
-    for p in packets:
-        if not isinstance(p, WavePacket):
-            raise ValueError(f"packets must be WavePacket instances, got {type(p).__name__}")
-    n = net.n_neurons
-    inputs = tuple(range(1, len(packets) + 1) if input_neurons is None else input_neurons)
-    if len(packets) != len(inputs):
-        raise ValueError(
-            f"{len(packets)} packets for {len(inputs)} input neurons; counts must match"
-        )
-    inputs = _checked_inputs(inputs, n)
-    eigs, vecs = [], []
-    for q, packet in zip(inputs, packets):
-        rho = _averaged_qubit_density(packet, t)
-        trace = float(rho.trace().real)
-        if not (math.isfinite(trace) and trace > 0.0):
-            raise ValueError(f"averaged input density of neuron {q} has trace {trace:g}")
-        lam, v = np.linalg.eigh(rho / trace)
-        if not lam[0] >= _EIG_FLOOR:
-            raise ValueError(f"averaged input density of neuron {q} has eigenvalue {lam[0]:g}")
-        eigs.append(lam)
-        vecs.append(v.T)
-    # Row r takes eigenpair bit j of r on input j, the first input most significant.
-    m = len(inputs)
-    picks = (np.arange(2**m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
-    weights = np.prod([lam[pick] for lam, pick in zip(eigs, picks.T)], axis=0)
-    keep = weights != 0.0
-    columns = np.stack([v[pick] for v, pick in zip(vecs, picks[keep].T)], axis=1)
-    idx, amps = _run_steps(*_product_state(columns, inputs, n), net)
-    norm_dev = float(np.max(np.abs((np.abs(amps) ** 2).sum(axis=1) - 1.0)))
-    if not norm_dev <= _NORM_ATOL:
-        raise ValueError(f"ensemble state norms drifted by {norm_dev:g}")
-    return weights[keep], np.arange(2**n) if idx is None else idx, amps
+    return next(_averaged_ensembles(net, packets, [t], input_neurons))
 
 
 def averaged_density(
@@ -310,10 +336,14 @@ def averaged_density(
     input_neurons: Sequence[int] | None = None,
 ) -> DensityMatrix:
     """Dense (4^N-entry) form of ``averaged_ensemble``, same arguments."""
-    weights, idx, amps = averaged_ensemble(net, packets, t, input_neurons)
-    rho = np.zeros((2**net.n_neurons,) * 2, dtype=np.complex128)
+    return _density(net.n_neurons, *averaged_ensemble(net, packets, t, input_neurons))
+
+
+def _density(n: int, weights: np.ndarray, idx: np.ndarray, amps: np.ndarray) -> DensityMatrix:
+    """The ``DensityMatrix`` sum_k weights[k] |psi_k><psi_k| of an ensemble on ``n`` neurons."""
+    rho = np.zeros((2**n,) * 2, dtype=np.complex128)
     rho[np.ix_(idx, idx)] = (amps.T * weights) @ amps.conj()
-    return DensityMatrix(net.n_neurons, rho)
+    return DensityMatrix(n, rho)
 
 
 def purity(rho) -> float:
@@ -341,19 +371,15 @@ def parse_packet(text: str) -> WavePacket:
         parts = line.split()
         if len(parts) != 6:
             raise ParseError(
-                f"expected 'n0 n1 n2 n3 re im' (6 fields), got {len(parts)}",
-                line=lineno,
+                f"expected 'n0 n1 n2 n3 re im' (6 fields), got {len(parts)}", line=lineno
             )
         try:
-            mode = tuple(int(p) for p in parts[:4])
+            mode = tuple(map(int, parts[:4]))
         except ValueError:
-            raise ParseError(
-                f"mode components {parts[:4]} must be integers", line=lineno
-            ) from None
+            raise ParseError(f"mode components {parts[:4]} must be integers", line=lineno) from None
         if max(map(abs, mode)) > MAX_MODE_COMPONENT:
             raise ParseError(
-                f"mode components {parts[:4]} exceed {MAX_MODE_COMPONENT} in magnitude",
-                line=lineno,
+                f"mode components {parts[:4]} exceed {MAX_MODE_COMPONENT} in magnitude", line=lineno
             )
         try:
             value = complex(float(parts[4]), float(parts[5]))
@@ -373,7 +399,10 @@ def parse_packet(text: str) -> WavePacket:
         raise ParseError("packet has zero norm")
     if abs(norm * norm - 1.0) > _RENORM_WARN:
         warnings.warn(f"packet norm was {norm:.9g}; renormalizing to 1", stacklevel=2)
-    return WavePacket({m: v / norm for m, v in coeffs.items()})
+    values = [v / norm for v in coeffs.values()]
+    if abs(_norm(values) ** 2 - 1.0) > _NORM_ATOL:  # subnormal inputs keep too few digits
+        raise ParseError(f"coefficients are not normalized: sum |A|^2 = {_norm(values) ** 2!r}")
+    return WavePacket._trusted(list(coeffs), values)
 
 
 def format_packet(packet: WavePacket) -> str:

@@ -3,6 +3,7 @@
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -374,6 +375,16 @@ def test_scalar_records_decide_as_the_numpy_path(expected, observed, tolerance, 
     if isinstance(expected, _SCALARS):
         report.check_all(["row"] * len(column), expected, column, tolerance)
         assert report.verdicts[1:] == [numpy_path_verdict(expected, o, tolerance) for o in column]
+
+
+def test_overflowing_differences_record_false_without_a_warning():
+    """1e308 - (-1e308) overflows: the array path warned where the scalar path did not."""
+    report = ScenarioReport("demo")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report.check("array", np.array([1e308]), np.array([-1e308]), 0.0)
+        report.check("scalar", 1e308, -1e308, 0.0)
+    assert report.verdicts == [False, False]
 
 
 def test_shape_mismatched_cells_fail():

@@ -454,6 +454,34 @@ class TestAverageCommand:
         assert captured.err == "error: t must be finite, got nan\n"
         assert captured.out == ""
 
+    def test_time_past_the_phase_resolution_exits_two(self, tmp_path, capsys):
+        """|n|^2 t = 1e17 > 2^52: the float64 phase keeps no digit, so no row is printed."""
+        net = tmp_path / "mirror.net"
+        net.write_text(MIRROR_NET, encoding="utf-8")
+        r = 1.0 / math.sqrt(2.0)
+        (tmp_path / "e1.pk").write_text(f"0 0 0 0 {r} 0\n0 0 0 1 0 {r}\n", encoding="utf-8")
+        argv = ["average", "--net", str(net), "--packet", str(tmp_path / "e1.pk")]
+        assert main(argv + ["--t=0,1e17"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: input neuron 1: energy 1 at t=1e+17 reaches |n|^2 |t| >= 2^52, "
+            "where float64 keeps no digit of the phase\n"
+        )
+        assert main(argv + ["--t=-1e17"]) == 2
+        assert "at t=-1e+17" in capsys.readouterr().err
+        assert main(argv + ["--t=0,1e15"]) == 0
+        rows = rows_of(capsys.readouterr().out)
+        assert [row[0] for row in rows[1:]] == ["0", "1e+15"]
+        assert all(float(row[1]) == pytest.approx(1.0, abs=1e-12) for row in rows[1:])
+
+    def test_uniform_packet_takes_any_finite_time(self, tmp_path, capsys):
+        net = tmp_path / "mirror.net"
+        net.write_text(MIRROR_NET, encoding="utf-8")
+        assert main(["average", "--net", str(net), "--t", "0,1e300"]) == 0
+        rows = rows_of(capsys.readouterr().out)
+        assert rows[1][1:] == rows[2][1:] and rows[2][0] == "1e+300"
+
     def test_bad_packet_file_is_a_parse_error(self, tmp_path, capsys):
         net = tmp_path / "mirror.net"
         pk = tmp_path / "bad.pk"

@@ -148,13 +148,15 @@ def test_verify_csv_is_the_per_value_template(tmp_path_factory, net, data):
 @settings(max_examples=25)
 @given(layered_nets(), st.data())
 def test_average_csv_is_the_per_value_template(tmp_path_factory, net, data):
+    """Up to six times, repeats and 0 among them: ``qfnn average`` runs them in one pass,
+    and the template calls ``averaged_ensemble`` once per time."""
     d = tmp_path_factory.mktemp("average")
     (d / "net.cfg").write_text(config_text(net))
     _, inputs = parse_network_config(config_text(net))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     packets = [data.draw(st.sampled_from([WavePacket.uniform(), random_packet(2, 4, rng)]))
                for _ in inputs]
-    times = data.draw(st.lists(st.floats(0.0, 5.0), min_size=1, max_size=3))
+    times = data.draw(st.lists(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 5.0), min_size=1, max_size=6))
     argv = ["average", "--net", str(d / "net.cfg"), "--t", ",".join(map(repr, times))]
     for k, p in enumerate(packets):
         (d / f"{k}.pk").write_text(format_packet(p))

@@ -33,9 +33,9 @@ from qfnn import (
     random_packet,
     von_neumann_entropy,
 )
-from qfnn import network
+from qfnn import environment, network
 from qfnn.cli import main
-from qfnn.environment import _averaged_qubit_density
+from qfnn.environment import _averaged_ensembles, _averaged_qubit_density
 
 PROPERTY = settings(max_examples=30)
 
@@ -217,3 +217,78 @@ def test_average_command_never_builds_a_4n_matrix(tmp_path):
     for row in rows[1:]:
         assert float(row[1]) == pytest.approx(1.0, abs=1e-12)
         assert sum(float(p) for p in row[4:]) == pytest.approx(1.0, abs=1e-9)
+
+
+#: Times with repeats and 0 drawn often: rows of equal times must still be computed alike.
+time_lists = st.lists(st.sampled_from([0.0, 0.5, 3.7]) | st.floats(0.0, 5.0), min_size=1, max_size=6)
+
+
+def assert_equal_to_one_call_per_time(net, packets, times, ensembles):
+    """Each time's (weights, amps) equal ``averaged_ensemble`` at that time alone, bit for bit.
+
+    The runner may end in the full form on one path and on the support on the
+    other: amplitudes are compared bit for bit on the indices both hold, and as
+    values (zero) on the rest of the register.
+    """
+    assert len(ensembles) == len(times)
+    n = net.n_neurons
+    for t, (weights, idx, amps) in zip(times, ensembles):
+        alone_weights, alone_idx, alone_amps = averaged_ensemble(net, packets, t=t)
+        assert weights.tobytes() == alone_weights.tobytes()
+        dense, alone = network._dense(idx, amps, n), network._dense(alone_idx, alone_amps, n)
+        assert np.array_equal(dense, alone)
+        common = np.intersect1d(idx, alone_idx)
+        assert dense[:, common].tobytes() == alone[:, common].tobytes()
+
+
+@PROPERTY
+@given(cases(), time_lists, st.sampled_from([None, 1, 2]))
+def test_one_pass_equals_one_call_per_time(case, times, group):
+    """Default budget: one runner call for every time; else forced groups of ``group`` times."""
+    net, packets, _ = case
+    m, n = len(packets), net.n_neurons
+    rotated = sum(len(step.targets) for step in net.steps if isinstance(step, UnitaryStep))
+    budget = environment._ENSEMBLE_AMPS if group is None else group * 2**m * min(2**n, 2**m << rotated)
+    calls = []
+    runner = environment._run_steps
+
+    def counted(idx, amps, spec):
+        calls.append(len(amps))
+        return runner(idx, amps, spec)
+
+    with mock.patch.object(environment, "_ENSEMBLE_AMPS", budget), \
+            mock.patch.object(environment, "_run_steps", counted):
+        ensembles = list(_averaged_ensembles(net, packets, times))
+    assert len(calls) == (1 if group is None else -(-len(times) // group))
+    assert sum(calls) == sum(len(w) for w, _, _ in ensembles)
+    assert_equal_to_one_call_per_time(net, packets, times, ensembles)
+
+
+@PROPERTY
+@given(cases(), st.lists(st.floats(0.0, 5.0), min_size=8, max_size=12))
+def test_many_times_on_small_nets_equal_one_call_per_time(case, times):
+    """Eight or more times stack enough rows to leave the small-register full form."""
+    net, packets, _ = case
+    assert_equal_to_one_call_per_time(net, packets, times, list(_averaged_ensembles(net, packets, times)))
+
+
+def test_stacked_times_leave_the_full_form_bit_for_bit():
+    """(3, 3): one time runs 8 rows in the full form, eight times 64 rows on the support."""
+    rng = np.random.default_rng(7)
+    net = NetworkSpec((3, 3), (BooleanStep(BooleanFunction(3, 3, rng.integers(0, 8, 8)), (1, 2, 3), (4, 5, 6)),))
+    packets = [random_packet(2, 5, rng) for _ in range(3)]
+    times = [0.0, 0.5, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0]
+    ensembles = list(_averaged_ensembles(net, packets, times))
+    assert [len(idx) for _, idx, _ in ensembles] == [8] * 8
+    assert len(averaged_ensemble(net, packets, t=0.5)[1]) == 64
+    assert_equal_to_one_call_per_time(net, packets, times, ensembles)
+
+
+def test_arguments_are_checked_for_every_time_before_any_runner_call():
+    net = NetworkSpec((1, 1), ())
+    packet = random_packet(1, 3, np.random.default_rng(3))
+    with mock.patch.object(environment, "_run_steps", side_effect=AssertionError("runner called")):
+        with pytest.raises(ValueError, match="t must be finite, got nan"):
+            next(_averaged_ensembles(net, [packet], [0.0, 1.0, math.nan]))
+        with pytest.raises(ValueError, match=r"input neuron 1: energy \d+ at t=-1e\+16 reaches"):
+            next(_averaged_ensembles(net, [packet], [0.0, -1e16, 1e15]))

@@ -408,6 +408,53 @@ class TestPacketText:
             rtol=0, atol=1e-15,
         )
 
+    @settings(max_examples=150)
+    @given(
+        st.dictionaries(
+            st.tuples(*[st.integers(-3, 3) | st.sampled_from([-MAX_MODE_COMPONENT, MAX_MODE_COMPONENT])] * 4),
+            st.tuples(*[st.floats(-10.0, 10.0) | st.sampled_from([0.0, -0.0, 1e-300])] * 2),
+            min_size=1, max_size=8,
+        ),
+        st.lists(st.sampled_from(["", "# note", "   "]), max_size=3),
+    )
+    def test_parse_builds_what_the_checked_constructor_builds(self, fields, extra_lines):
+        """The parser checks each line once; its packet is the dict constructor's, bit for bit."""
+        lines = [f"{a} {b} {c} {d} {re!r} {im!r}" for (a, b, c, d), (re, im) in fields.items()]
+        text = "\n".join(extra_lines + lines) + "\n"
+        values = [complex(re, im) for re, im in fields.values()]
+        norm = math.hypot(*(x for v in values for x in (v.real, v.imag)))
+        assume(norm > 1e-3)
+        expected = WavePacket({mode: v / norm for mode, v in zip(fields, values)})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = parse_packet(text)
+        for name in ("_modes", "_values", "_energies"):
+            want = getattr(expected, name)
+            assert getattr(got, name).dtype == want.dtype
+            assert getattr(got, name).tobytes() == want.tobytes(), name
+        assert got.truncation == expected.truncation
+        assert got.modes == expected.modes
+
+    @pytest.mark.parametrize("text, message", [
+        ("0 0 0 0 1\n", "line 1: expected 'n0 n1 n2 n3 re im' (6 fields), got 5"),
+        ("0 0 0 0 1 0\n0 0 x 0 1 0\n", "line 2: mode components ['0', '0', 'x', '0'] must be integers"),
+        ("0 0 0 0 1 0\n0 0 -4294967296 0 1 0\n",
+         "line 2: mode components ['0', '0', '-4294967296', '0'] exceed 1000000 in magnitude"),
+        ("0 0 0 0 a 0\n", "line 1: coefficient fields ['a', '0'] must be real numbers"),
+        ("0 0 0 0 inf 0\n", "line 1: coefficient fields ['inf', '0'] must be finite"),
+        ("0 0 0 0 1 0\n# c\n\n0 0 0 0 0.5 0\n", "line 4: duplicate mode (0, 0, 0, 0)"),
+        ("# empty\n", "packet file has no modes"),
+        ("0 0 0 0 0 0\n", "packet has zero norm"),
+        # Subnormal coefficients carry too few digits to renormalize to 1e-12.
+        ("0 0 0 0 1e-320 0\n1 0 0 0 3e-320 0\n", "coefficients are not normalized: sum |A|^2 = 1.000140625"),
+    ])
+    def test_error_messages(self, text, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(ParseError) as info:
+                parse_packet(text)
+        assert str(info.value) == message
+
     def test_comments_and_blanks(self):
         text = """
         # the uniform packet

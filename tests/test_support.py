@@ -33,6 +33,7 @@ from qfnn import (
 )
 from qfnn import network
 from qfnn.cli import main
+from qfnn.environment import _averaged_ensembles
 from qfnn.network import _dense, _product_state, _run_steps, _truth_probabilities
 
 PROPERTY = settings(max_examples=30)
@@ -327,3 +328,27 @@ def test_ensemble_at_n16_holds_only_the_support():
     assert amps.shape == (len(weights), len(idx)) and len(idx) == 2**12
     assert weights.sum() == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_allclose((np.abs(amps) ** 2).sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+def test_ensembles_at_n16_over_eight_times_stay_one_group_at_a_time():
+    """(8, 4, 4), eight 8-mode packets, eight times: all eight ensembles at once would be 128 MB.
+
+    Rows x support bound is 2^8 x 2^12, past the grouping budget, so each
+    time is its own runner call, made only when the iterator reaches it.
+    """
+    net, rng = layered((8, 4, 4), 16)
+    packets = [random_packet(3, 8, rng) for _ in range(8)]
+    times = [0.4 * k for k in range(8)]
+
+    def consume():
+        traces = []
+        for weights, idx, amps in _averaged_ensembles(net, packets, times):
+            assert amps.shape == (len(weights), len(idx)) and len(idx) == 2**12
+            np.testing.assert_allclose((np.abs(amps) ** 2).sum(axis=1), 1.0, rtol=0, atol=1e-12)
+            traces.append(weights.sum())
+        return traces
+
+    traces, peak = traced_peak(consume)
+    assert peak < 64 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
+    np.testing.assert_allclose(traces, 1.0, rtol=0, atol=1e-12)
+    assert len(traces) == 8
