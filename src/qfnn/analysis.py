@@ -22,7 +22,7 @@ from .network import (
     complementarity_network, hadamard_variant_network, input_layer, run_history, xor_network,
 )
 from .qstate import (
-    _NORM_ATOL, StateVector, _plus_minus_weights, measure_probabilities, reduced_density,
+    StateVector, _check_unit_norm, _plus_minus_weights, measure_probabilities, reduced_density,
     von_neumann_entropy,
 )
 
@@ -200,35 +200,19 @@ def complementarity_check(phi: GateParams | None = None) -> ScenarioReport:
 
 
 def _check_phase_tags(report: ScenarioReport, state: StateVector, output: int) -> None:
-    """Check that the output neuron reads |+> on input 0 and |-> on input 1."""
-    for bit, ket, sign in ((0, "|+>", 1.0), (1, "|->", -1.0)):
-        fidelity = _conditional_fidelity(state, 1, bit, output, np.array([1.0, sign]) / np.sqrt(2.0))
-        report.check(f"output conditioned on input {bit} matches {ket}", 1.0, fidelity, 1e-10)
+    """Check that the output neuron reads |+> on input 0 and |-> on input 1.
 
-
-def _conditional_fidelity(
-    state: StateVector,
-    cond_qubit: int,
-    cond_value: int,
-    target_qubit: int,
-    target_amps: np.ndarray,
-) -> float:
-    """Fidelity <v|rho|v> of one neuron's state within a measurement branch.
-
-    Returns 1.0 when the branch carries no weight: an empty branch cannot
+    Each fidelity is the tag's weight within the input branch over the branch's
+    weight, and 1.0 when the branch carries none: an empty branch cannot
     contradict the expectation.
     """
-    n = state.n_qubits
-    shift = n - cond_qubit
-    idx = np.arange(state.amps.size)
-    mask = ((idx >> shift) & 1) == cond_value
-    weight = float(np.sum(np.abs(state.amps[mask]) ** 2))
-    if weight < 1e-12:
-        return 1.0
-    branch = StateVector(n, np.where(mask, state.amps, 0.0) / np.sqrt(weight))
-    rho = reduced_density(branch, {target_qubit}).entries
-    v = np.asarray(target_amps, dtype=np.complex128)
-    return float(np.real(v.conj() @ rho @ v))
+    # tags[k, bit]: weight of |+> (k = 0) or |-> (k = 1) where input neuron 1 reads bit.
+    tags = np.array([w.reshape(2, -1).sum(axis=1)
+                     for w in _plus_minus_weights(state.amps, state.n_qubits, output)])
+    for bit, ket in ((0, "|+>"), (1, "|->")):
+        weight = float(tags[:, bit].sum())
+        fidelity = float(tags[bit, bit]) / weight if weight >= 1e-12 else 1.0
+        report.check(f"output conditioned on input {bit} matches {ket}", 1.0, fidelity, 1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +234,9 @@ def xor_reflexivity_check(samples: int = 100, seed: int = DEFAULT_SEED) -> Scena
     columns = _response_columns(np.random.default_rng(seed).uniform(0.0, 2 * np.pi, (samples, 4)))
     # Past 64 rows the runner keeps the support form: two branches per row.
     idx, amps = _run_steps(*_product_state(columns[:, None], (1,), 4), xor_network())
+    _check_unit_norm(amps)
     idx = np.arange(16) if idx is None else idx
     probs = np.abs(amps) ** 2
-    norm_dev = float(np.max(np.abs(probs.sum(axis=1) - 1.0)))
-    if not norm_dev <= _NORM_ATOL:
-        raise ValueError(f"xor history norms drifted by {norm_dev:g}")
     # Allowed middle patterns (neurons 2 and 3): 01 and 10; output neuron 4 is bit 0.
     middle = (idx >> 1) & 0b11
     off_support = (middle != 0b01) & (middle != 0b10)

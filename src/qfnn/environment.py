@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ParseError
 from .gates import GateParams
 from .network import NetworkSpec, _checked_inputs, _product_state, _run_steps
-from .qstate import _EIG_FLOOR, DensityMatrix
+from .qstate import _EIG_FLOOR, DensityMatrix, _check_unit_norm
 
 ModeIndex = tuple[int, int, int, int]
 
@@ -246,11 +246,6 @@ def _averaged_densities(packets: Sequence[WavePacket], times: np.ndarray) -> np.
     return rho
 
 
-def _averaged_qubit_density(packet: WavePacket, t: float) -> np.ndarray:
-    """``_averaged_densities`` of one packet at one time, as a 2x2 matrix."""
-    return _averaged_densities([packet], np.array([float(t)]))[0, 0]
-
-
 def _averaged_ensembles(
     net: NetworkSpec, packets: Sequence[WavePacket], times: Sequence[float], input_neurons=None
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -298,9 +293,7 @@ def _averaged_ensembles(
         keep = w != 0.0
         columns = np.stack([rows[j][:, pick] for j, pick in enumerate(picks.T)], axis=2)
         idx, amps = _run_steps(*_product_state(columns[keep], inputs, n), net)
-        norm_dev = float(np.max(np.abs((np.abs(amps) ** 2).sum(axis=1) - 1.0)))
-        if not norm_dev <= _NORM_ATOL:
-            raise ValueError(f"ensemble state norms drifted by {norm_dev:g}")
+        _check_unit_norm(amps, _NORM_ATOL)
         idx = np.arange(2**n) if idx is None else idx
         ends = np.cumsum(keep.sum(axis=1)).tolist()
         yield from ((wt[kept], idx, amps[s:e]) for wt, kept, s, e in zip(w, keep, [0] + ends, ends))
@@ -343,15 +336,16 @@ def _density(n: int, weights: np.ndarray, idx: np.ndarray, amps: np.ndarray) -> 
     """The ``DensityMatrix`` sum_k weights[k] |psi_k><psi_k| of an ensemble on ``n`` neurons."""
     rho = np.zeros((2**n,) * 2, dtype=np.complex128)
     rho[np.ix_(idx, idx)] = (amps.T * weights) @ amps.conj()
-    return DensityMatrix(n, rho)
+    return DensityMatrix._trusted(n, rho)
 
 
 def purity(rho) -> float:
-    """tr(rho^2): 1 on pure states, 1/2^n on the maximally mixed register."""
+    """tr(rho^2) as sum_ij rho_ij rho_ji, O(4^n): 1 on pure states, 1/2^n on the maximally
+    mixed register."""
     mat = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=np.complex128)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    return float(np.trace(mat @ mat).real)
+    return float((mat * mat.T).sum().real)
 
 
 def parse_packet(text: str) -> WavePacket:

@@ -267,7 +267,7 @@ def _history(net: NetworkSpec, phis: Sequence[GateParams], input_neurons: Sequen
     inputs = _checked_inputs(inputs, n)
     columns = np.array([[u2_from_params(phi)[:, 0] for phi in phis]]).reshape(1, -1, 2)
     idx, amps = _run_steps(*_product_state(columns, inputs, n), net)
-    _check_unit_norm(amps[0])
+    _check_unit_norm(amps)
     return idx, amps[0]
 
 

@@ -42,14 +42,15 @@ def _check_qubit_count(n_qubits: int) -> int:
     return n_qubits
 
 
-def _check_unit_norm(amps: np.ndarray) -> None:
-    """Raise ValueError unless the amplitudes are finite with unit norm (1e-10)."""
-    norm_sq = float(np.vdot(amps, amps).real)
-    if abs(norm_sq - 1.0) <= _NORM_ATOL:  # false for inf or nan too
+def _check_unit_norm(amps: np.ndarray, atol: float = _NORM_ATOL) -> None:
+    """Raise ValueError unless every row of a (..., S) stack is finite with unit norm (``atol``)."""
+    norm_sq = np.vecdot(amps, amps).real.ravel()
+    dev = np.abs(norm_sq - 1.0)
+    if (dev <= atol).all():  # false for inf or nan too
         return
     if not np.all(np.isfinite(amps)):
         raise ValueError("amplitudes must be finite")
-    raise ValueError(f"state vector is not normalized: |psi|^2 = {norm_sq!r}")
+    raise ValueError(f"state vector is not normalized: |psi|^2 = {float(norm_sq[dev.argmax()])!r}")
 
 
 def _bit_shift(n_qubits: int, qubit: int) -> int:
@@ -85,16 +86,14 @@ class StateVector:
                 f"got shape {arr.shape}"
             )
         _check_unit_norm(arr)
-        arr = arr.copy()
-        arr.setflags(write=False)
-        self._n_qubits = n_qubits
-        self._amps = arr
+        StateVector._trusted(n_qubits, arr.copy(), self)
 
     @classmethod
-    def _trusted(cls, n_qubits: int, amps: np.ndarray) -> "StateVector":
-        """Adopt a fresh (2**n,) array whose nonzero entries passed ``_check_unit_norm``."""
+    def _trusted(cls, n_qubits: int, amps: np.ndarray, state=None) -> "StateVector":
+        """Adopt into ``state`` (default: a new one) a fresh (2**n,) array that passed
+        ``_check_unit_norm``."""
         amps.setflags(write=False)
-        state = cls.__new__(cls)
+        state = cls.__new__(cls) if state is None else state
         state._n_qubits = n_qubits
         state._amps = amps
         return state
@@ -119,9 +118,11 @@ class StateVector:
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix on a neuron register.
 
-    Validation happens at construction: Hermiticity within 1e-10, trace within
-    1e-10 of one, and eigenvalues above -1e-9 (small negative dust from
-    floating-point reductions is tolerated, genuine negativity is not).
+    Construction validates a user-supplied matrix: Hermiticity within 1e-10,
+    trace within 1e-10 of one, and eigenvalues above -1e-9 (small negative
+    dust from floating-point reductions is tolerated, genuine negativity is
+    not).  The package's own reduced and averaged densities hold all three by
+    construction and skip the O(8^n) check (see ``_trusted``).
     """
 
     __slots__ = ("_n_qubits", "_entries")
@@ -147,10 +148,23 @@ class DensityMatrix:
             raise ValueError(
                 f"density matrix has a negative eigenvalue ({float(eigs.min()):g})"
             )
-        mat = mat.copy()
+        DensityMatrix._trusted(n_qubits, mat.copy(), self)
+
+    @classmethod
+    def _trusted(cls, n_qubits: int, mat: np.ndarray, rho=None) -> "DensityMatrix":
+        """Adopt a fresh (2**n, 2**n) array into ``rho`` (default: a new one), unchecked.
+
+        The internal builders hold the three properties by construction.
+        ``reduced_density`` forms the Gram matrix psi psi^dagger of a validated
+        unit state.  ``environment._density`` forms sum_k w_k |psi_k><psi_k|
+        from rows whose norms were checked to 1e-12 and weights that are
+        products of eigenvalues >= ``_EIG_FLOOR`` summing to 1.
+        """
         mat.setflags(write=False)
-        self._n_qubits = n_qubits
-        self._entries = mat
+        rho = cls.__new__(cls) if rho is None else rho
+        rho._n_qubits = n_qubits
+        rho._entries = mat
+        return rho
 
     @property
     def n_qubits(self) -> int:
@@ -217,8 +231,7 @@ def reduced_density(state: StateVector, keep: Iterable[int]) -> DensityMatrix:
     psi = state.amps.reshape([2] * n)
     psi = np.transpose(psi, kept_axes + traced_axes)
     psi = psi.reshape(2 ** len(kept_axes), 2 ** len(traced_axes))
-    rho = psi @ psi.conj().T
-    return DensityMatrix(len(kept_axes), rho)
+    return DensityMatrix._trusted(len(kept_axes), psi @ psi.conj().T)
 
 
 def _plus_minus_weights(amps: np.ndarray, n_qubits: int, qubit: int):

@@ -14,9 +14,15 @@ import csv_oracle
 from csv_oracle import numpy_path_verdict
 from dense_oracle import run_dense
 from qfnn import (
+    HADAMARD,
     BooleanFunction,
+    BooleanStep,
+    DensityMatrix,
     GateParams,
+    NetworkSpec,
     StateVector,
+    UnitaryStep,
+    averaged_density,
     averaged_dynamics_check,
     basis_state,
     boolean_mn_check,
@@ -29,6 +35,8 @@ from qfnn import (
     tensor,
     measure_probabilities,
     psi_amplitudes,
+    random_packet,
+    reduced_density,
     run_history,
     xor_network,
     xor_reflexivity_check,
@@ -140,6 +148,47 @@ class TestEntanglementReport:
         left = entanglement_report(state, {1, 4})
         right = entanglement_report(state, {2, 3})
         assert abs(left - right) <= 1e-9
+
+
+class TestNoDenseRecheck:
+    """Densities the package builds itself skip the O(8^N) eigvalsh re-check;
+    only a user-supplied matrix and an entropy pay for a spectrum."""
+
+    @pytest.fixture
+    def eigvalsh_calls(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return eigvalsh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        return calls
+
+    def test_internal_paths_make_no_call(self, eigvalsh_calls):
+        rng = np.random.default_rng(29)
+        first, second = (BooleanFunction(m, 3, rng.integers(0, 8, 2**m).tolist()) for m in (4, 3))
+        steps = (
+            BooleanStep(first, range(1, 5), range(5, 8)),
+            BooleanStep(second, range(5, 8), range(8, 11)),
+            UnitaryStep((HADAMARD,) * 2, (9, 10)),
+        )
+        packets = [random_packet(2, 6, rng) for _ in range(4)]
+        rho = averaged_density(NetworkSpec((4, 3, 3), steps), packets, t=0.3)
+        assert rho.n_qubits == 10
+        amps = rng.normal(size=16) + 1j * rng.normal(size=16)
+        reduced_density(StateVector(4, amps / np.linalg.norm(amps)), {1, 3})
+        for check in (averaged_dynamics_check, complementarity_check, hadamard_variant_check):
+            assert check().passed
+        assert eigvalsh_calls == []
+
+    def test_entropy_and_user_matrix_make_one_call_each(self, eigvalsh_calls):
+        state = StateVector(2, np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0))
+        entanglement_report(state, {1})
+        assert eigvalsh_calls == [(2, 2)]
+        DensityMatrix(2, np.eye(4) / 4.0)
+        assert eigvalsh_calls == [(2, 2), (4, 4)]
 
 
 def xor_deviations_one_by_one(samples, seed):

@@ -35,7 +35,8 @@ from qfnn import (
 )
 from qfnn import environment, network
 from qfnn.cli import main
-from qfnn.environment import _averaged_ensembles, _averaged_qubit_density
+from qfnn.environment import _averaged_ensembles
+from torus_oracle import averaged_qubit_density
 
 PROPERTY = settings(max_examples=30)
 
@@ -67,7 +68,7 @@ def dense_oracle(net, packets, t):
     """(4^N averaged density, unit-trace input densities) for inputs 1..m."""
     inputs = []
     for p in packets:
-        r = _averaged_qubit_density(p, t)
+        r = averaged_qubit_density(p, t)
         inputs.append(r / r.trace().real)
     ground = np.diag([1.0, 0.0]).astype(complex)
     rho = np.ones((1, 1), dtype=complex)
@@ -124,6 +125,10 @@ def test_dense_form_matches_conjugation_oracle(case):
     expected, _ = dense_oracle(net, packets, t)
     got = averaged_density(net, packets, t=t).entries
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+    # Built trusted: the invariants hold by construction, with no check on the way.
+    np.testing.assert_allclose(got, got.conj().T, rtol=0, atol=1e-12)
+    assert np.trace(got).real == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.eigvalsh(got)[0] >= -1e-12
 
 
 @PROPERTY

@@ -29,8 +29,9 @@ from qfnn import (
     run_history,
     von_neumann_entropy,
 )
-from qfnn.environment import MAX_MODE_COMPONENT, _averaged_qubit_density
+from qfnn.environment import MAX_MODE_COMPONENT
 from torus_oracle import (
+    averaged_qubit_density,
     exact_density,
     gauss_legendre,
     grid_density,
@@ -327,14 +328,14 @@ class TestExactAverage:
     @given(packets_and_times())
     def test_closed_form_matches_node_sum_oracle(self, case):
         packet, t = case
-        got = _averaged_qubit_density(packet, t)
+        got = averaged_qubit_density(packet, t)
         np.testing.assert_allclose(got, exact_density(packet, t), rtol=0, atol=1e-12)
 
     @settings(max_examples=40)
     @given(packets_and_times())
     def test_unit_trace_and_positive_for_random_packets(self, case):
         packet, t = case
-        rho = _averaged_qubit_density(packet, t)
+        rho = averaged_qubit_density(packet, t)
         assert rho.trace().real == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(rho, rho.conj().T, rtol=0, atol=0)
         assert np.linalg.eigvalsh(rho)[0] >= -1e-12
@@ -349,7 +350,7 @@ class TestExactAverage:
         packet = WavePacket({tuple(m): v for m, v in zip(modes.tolist(), values.tolist())})
         tracemalloc.start()
         try:
-            rho = _averaged_qubit_density(packet, 0.4)
+            rho = averaged_qubit_density(packet, 0.4)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -360,7 +361,7 @@ class TestExactAverage:
         """Coherence partners are found however sparse the (n0, n1, n2) keys are."""
         r = 1.0 / math.sqrt(3.0)
         packet = WavePacket({(-5, -4, 2, 0): r, (-5, -3, 3, 2): r * 1j, (7, 9, -8, 1): -r})
-        rho = _averaged_qubit_density(packet, 1.1)
+        rho = averaged_qubit_density(packet, 1.1)
         c = packet.evolved_coefficients(1.1)
         # Only (-5, -4, 2, 0) -> (-5, -3, 3, 2) couples: d3 = -2.
         assert rho[0, 1] == pytest.approx(c[0] * np.conj(c[1]) / (2 * np.pi * 7.5), abs=1e-15)
@@ -370,6 +371,10 @@ class TestPurity:
     def test_extremes(self):
         assert purity(np.eye(2) / 2.0) == pytest.approx(0.5, abs=1e-12)
         assert purity(np.diag([1.0, 0.0])) == pytest.approx(1.0, abs=1e-12)
+        # sum_ij a_ij a_ji is tr(a @ a) for any square array, Hermitian or not.
+        rng = np.random.default_rng(71)
+        a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        assert purity(a) == pytest.approx(np.trace(a @ a).real, abs=1e-12)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):

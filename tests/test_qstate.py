@@ -19,6 +19,7 @@ from qfnn import (
     von_neumann_entropy,
 )
 from qfnn.gates import HADAMARD, GateParams, u2_from_params
+from qfnn.qstate import _check_unit_norm
 
 
 def random_state(n, rng):
@@ -36,6 +37,12 @@ class TestStateVector:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="not normalized"):
             StateVector(1, [1.0, 1.0])
+        # Every row of a stack counts, at the caller's tolerance.
+        rows = np.eye(3, 4, dtype=np.complex128)
+        rows[2, 2] += 1e-11
+        _check_unit_norm(rows)
+        with pytest.raises(ValueError, match="not normalized"):
+            _check_unit_norm(rows, atol=1e-12)
 
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError, match="expected 4 amplitudes"):
@@ -122,6 +129,9 @@ class TestReducedDensity:
             state = random_state(4, rng)
             got = reduced_density(state, keep).entries
             np.testing.assert_allclose(got, naive_reduced(state, keep), atol=1e-12)
+            np.testing.assert_allclose(got, got.conj().T, rtol=0, atol=1e-12)
+            assert np.trace(got).real == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.eigvalsh(got)[0] >= -1e-12
 
     def test_kept_indices_order_ascending(self):
         """Passing {2, 1} and {1, 2} must agree: output order is sorted."""

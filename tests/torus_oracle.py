@@ -15,6 +15,8 @@ import math
 
 import numpy as np
 
+from qfnn.environment import _averaged_densities
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -68,3 +70,8 @@ def exact_density(packet, t):
     frequencies on axes 0-2 stay within |w| <= 7.
     """
     return neuron_density(packet, t, [midpoint(8)] * 3 + [gauss_legendre(40)])
+
+
+def averaged_qubit_density(packet, t):
+    """The package's closed-form 2x2 average of one packet at one time, under test."""
+    return _averaged_densities([packet], np.array([float(t)]))[0, 0]
