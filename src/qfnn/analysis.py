@@ -18,12 +18,11 @@ from .csvtext import _cell, _g12, _quoted
 from .environment import WavePacket, _averaged_ensembles, _density, purity
 from .gates import GateParams, _response_columns, psi_amplitudes
 from .network import (
-    _amps_at, _product_state, _run_steps, _truth_probabilities, boolean_network_for,
-    complementarity_network, hadamard_variant_network, input_layer, run_history, xor_network,
+    _amps_at, _evolve, _truth_probabilities, boolean_network_for, complementarity_network,
+    hadamard_variant_network, input_layer, run_history, xor_network,
 )
 from .qstate import (
-    StateVector, _check_unit_norm, _plus_minus_weights, measure_probabilities, reduced_density,
-    von_neumann_entropy,
+    StateVector, _plus_minus_weights, measure_probabilities, reduced_density, von_neumann_entropy,
 )
 
 DEFAULT_SEED = 42
@@ -233,9 +232,7 @@ def xor_reflexivity_check(samples: int = 100, seed: int = DEFAULT_SEED) -> Scena
     # One row per sample: the same stream as one draw of size 4 per sample.
     columns = _response_columns(np.random.default_rng(seed).uniform(0.0, 2 * np.pi, (samples, 4)))
     # Past 64 rows the runner keeps the support form: two branches per row.
-    idx, amps = _run_steps(*_product_state(columns[:, None], (1,), 4), xor_network())
-    _check_unit_norm(amps)
-    idx = np.arange(16) if idx is None else idx
+    idx, amps = _evolve(xor_network(), columns[:, None], (1,))
     probs = np.abs(amps) ** 2
     # Allowed middle patterns (neurons 2 and 3): 01 and 10; output neuron 4 is bit 0.
     middle = (idx >> 1) & 0b11

@@ -19,7 +19,7 @@ import numpy as np
 
 from .boolfn import BooleanFunction, _flip_table, _xor_permutation, validate_wiring
 from .gates import GateParams, HADAMARD, is_unitary, u2_from_params
-from .qstate import MAX_QUBITS, StateVector, _check_unit_norm
+from .qstate import _NORM_ATOL, MAX_QUBITS, StateVector, _check_unit_norm
 
 _BLOCK_TARGETS = 6  # targets per kron block of a unitary step: blocks stay <= 64x64
 _BATCH_AMPS = 2**22  # amplitudes (64 MB) per batch of classical truth-table drives
@@ -174,32 +174,17 @@ def _branches(neurons: Sequence[int], n: int) -> np.ndarray:
     return idx
 
 
-def _product_state(columns: np.ndarray, inputs: Sequence[int], n: int):
-    """Support form of the product states with ``columns[k, j]`` on neuron
-    ``inputs[j]`` in row k and |0> on every other neuron; the full form
-    when every neuron is an input."""
-    amps = np.ones((len(columns), 1), dtype=np.complex128)
-    for _, j in sorted(zip(inputs, range(len(inputs)))):
-        amps = (amps[:, :, None] * columns[:, None, j]).reshape(len(columns), -1)
-    return None if len(inputs) == n else _branches(inputs, n), amps
-
-
-def _dense(idx, amps: np.ndarray, n: int) -> np.ndarray:
+def _dense(idx: np.ndarray, amps: np.ndarray, n: int) -> np.ndarray:
     """Full form (K, 2^n) of (K, S) amplitudes, zero off the support."""
-    if idx is None:
-        return amps
     out = np.zeros((len(amps), 2**n), dtype=np.complex128)
     out[:, idx] = amps
     return out
 
 
-def _amps_at(idx, amps: np.ndarray, want: np.ndarray) -> np.ndarray:
+def _amps_at(idx: np.ndarray, amps: np.ndarray, want: np.ndarray) -> np.ndarray:
     """Row k's amplitudes on the basis indices ``want[k]`` (broadcast), 0 off the support."""
-    rows = np.arange(len(amps))[:, None]
-    if idx is None:
-        return amps[rows, want]
     pos = np.minimum(np.searchsorted(idx, want), len(idx) - 1)
-    return np.where(idx[pos] == want, amps[rows, pos], 0.0)
+    return np.where(idx[pos] == want, amps[np.arange(len(amps))[:, None], pos], 0.0)
 
 
 def _sorted(idx: np.ndarray, amps: np.ndarray):
@@ -213,27 +198,29 @@ def _full_form_pays(rows: int, support: int, n: int) -> bool:
     return rows << n <= _DENSE_AMPS or support * _SUPPORT_SHARE >= 1 << n
 
 
-def _run_steps(idx, amps: np.ndarray, net: NetworkSpec):
+def _run_steps(idx: np.ndarray, amps: np.ndarray, net: NetworkSpec):
     """Push (K, S) amplitudes on the ascending basis indices ``idx`` through the steps.
 
-    ``idx`` None is the full form, S = 2^N.  On the support a boolean step
-    relabels the branches, ``k ^ flips(k)``, and a kron block multiplies
-    each group of branches that share their other bits.  The runner goes
-    dense for small registers and once a support would cover 1/4 of the
-    register, and returns (idx, amps) in the form it ends in.  Every step is
-    unitary by construction, so callers check the result once, on exit.
+    The full form is the support that covers the register, S = 2^N.  On a
+    partial support a boolean step relabels the branches, ``k ^ flips(k)``,
+    and a kron block multiplies each group of branches that share their
+    other bits.  The runner goes dense for small registers and once a
+    support would cover 1/4 of the register, and returns (idx, amps) in the
+    form it ends in; the full form's ``arange(2^N)`` is built on exit only.
+    Every step is unitary by construction, so callers check the result once.
     """
     n = net.n_neurons
+    full = len(idx) == 1 << n
     for targets, (table, patterns) in net._plan:
-        if idx is not None and _full_form_pays(len(amps), len(idx) << len(targets or ()), n):
-            idx, amps = None, _dense(idx, amps, n)
-        if targets is None and idx is None:
+        if not full and _full_form_pays(len(amps), len(idx) << len(targets or ()), n):
+            full, amps = True, _dense(idx, amps, n)
+        if targets is None and full:
             # XOR is an involution: the image array is also the gather index.
             amps = amps[:, _xor_permutation(table, n)]
         elif targets is None:
             flips = table.reshape(-1)[np.searchsorted(patterns, idx & patterns[-1])]
             idx, amps = _sorted(idx ^ flips, amps)
-        elif idx is None:
+        elif full:
             k = len(targets)
             last = range(n + 1 - k, n + 1)
             # Axis q of the batch-led tensor is neuron q; on trailing targets
@@ -252,6 +239,20 @@ def _run_steps(idx, amps: np.ndarray, net: NetworkSpec):
             buf[:, np.cumsum(first) - 1, np.searchsorted(patterns, idx & patterns[-1])] = amps
             out = (buf.reshape(-1, len(patterns)) @ table).reshape(len(amps), -1)
             idx, amps = _sorted((heads[:, None] | patterns).reshape(-1), out)
+    return (np.arange(1 << n) if full else idx), amps
+
+
+def _evolve(net: NetworkSpec, columns: np.ndarray, inputs: Sequence[int], atol: float = _NORM_ATOL):
+    """(idx, amps) of K product states run through the steps, each row checked once.
+
+    Row k starts with ``columns[k, j]`` on neuron ``inputs[j]`` and |0> elsewhere,
+    and must end finite with unit norm within ``atol``.
+    """
+    amps = np.ones((len(columns), 1), dtype=np.complex128)
+    for _, j in sorted(zip(inputs, range(len(inputs)))):
+        amps = (amps[:, :, None] * columns[:, None, j]).reshape(len(columns), -1)
+    idx, amps = _run_steps(_branches(inputs, net.n_neurons), amps, net)
+    _check_unit_norm(amps, atol)
     return idx, amps
 
 
@@ -263,11 +264,9 @@ def _history(net: NetworkSpec, phis: Sequence[GateParams], input_neurons: Sequen
         raise ValueError(
             f"{len(phis)} angle tuples for {len(inputs)} input neurons; counts must match"
         )
-    n = net.n_neurons
-    inputs = _checked_inputs(inputs, n)
+    inputs = _checked_inputs(inputs, net.n_neurons)
     columns = np.array([[u2_from_params(phi)[:, 0] for phi in phis]]).reshape(1, -1, 2)
-    idx, amps = _run_steps(*_product_state(columns, inputs, n), net)
-    _check_unit_norm(amps)
+    idx, amps = _evolve(net, columns, inputs)
     return idx, amps[0]
 
 
@@ -283,7 +282,7 @@ def run_history(
     """
     idx, amps = _history(net, phis, input_neurons)
     n = net.n_neurons
-    if idx is None:
+    if len(idx) == 1 << n:
         return StateVector._trusted(n, amps)
     # numpy asks for 2 MB pages on large arrays, and each would be zeroed
     # whole; an anonymous map zeroes only the 4 KB pages the support touches
@@ -299,11 +298,11 @@ def _bit_digits(indices: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(octets, axis=1)[:, 32 - n :] + np.uint8(ord("0"))
 
 
-def _branch_rows(idx, amps: np.ndarray, threshold: float):
+def _branch_rows(idx: np.ndarray, amps: np.ndarray, threshold: float):
     """(basis indices, amplitudes) of the branches with |amplitude| above ``threshold``."""
     # hypot rounds as abs() does on one amplitude; np.abs on arrays can be an ulp off.
     keep = np.flatnonzero(np.hypot(amps.real, amps.imag) > threshold)
-    return keep if idx is None else idx[keep], amps[keep]
+    return idx[keep], amps[keep]
 
 
 def branch_amplitudes(
@@ -315,10 +314,10 @@ def branch_amplitudes(
     neuron 1 first.
     """
     threshold = float(threshold)
-    if threshold < 0.0:
+    if not threshold >= 0.0:  # nan too
         raise ValueError(f"threshold must be non-negative, got {threshold}")
     n = state.n_qubits
-    kept, amps = _branch_rows(None, state.amps, threshold)
+    kept, amps = _branch_rows(np.arange(1 << n), state.amps, threshold)
     return list(zip(_bit_digits(kept, n).view(f"S{n}").ravel().astype(str).tolist(), amps.tolist()))
 
 
@@ -421,7 +420,10 @@ def verify_truth_table(
             f"network layers {list(net.layers)} do not match function arities "
             f"({g.m}, {g.n})"
         )
-    return TruthTableReport(g, _truth_probabilities(net, g), float(tol))
+    tol = float(tol)
+    if not tol >= 0.0:  # nan too
+        raise ValueError(f"tol must be non-negative, got {tol}")
+    return TruthTableReport(g, _truth_probabilities(net, g), tol)
 
 
 # ---------------------------------------------------------------------------

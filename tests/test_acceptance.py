@@ -376,7 +376,7 @@ def test_gate_unitarity_and_permutations():
         amps /= np.linalg.norm(amps)
         wires = tuple(range(1, total + 1))
         step = BooleanStep(g, wires[: g.m], wires[g.m :])
-        _, twice = _run_steps(None, amps[None], NetworkSpec((g.m, g.n), (step, step)))
+        _, twice = _run_steps(np.arange(2**total), amps[None], NetworkSpec((g.m, g.n), (step, step)))
         dev = float(np.max(np.abs(twice[0] - amps)))
         if dev >= 1e-12:
             failures.append(

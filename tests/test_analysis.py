@@ -240,7 +240,7 @@ class TestBatchedXor:
 
     def test_one_runner_call_and_no_history(self, monkeypatch):
         calls = []
-        runner = analysis._run_steps
+        runner = network._run_steps
 
         def counted(idx, amps, net):
             calls.append(len(amps))
@@ -249,7 +249,7 @@ class TestBatchedXor:
         def forbidden(*args, **kwargs):
             raise AssertionError("run_history called")
 
-        monkeypatch.setattr(analysis, "_run_steps", counted)
+        monkeypatch.setattr(network, "_run_steps", counted)
         monkeypatch.setattr(analysis, "run_history", forbidden)
         monkeypatch.setattr(network, "run_history", forbidden)
         assert xor_reflexivity_check(samples=100).passed

@@ -83,8 +83,9 @@ class TestLocalMap:
 
 def run(net, amps):
     """Full-form rows ``amps`` pushed through every step of ``net`` by the network's runner."""
-    idx, out = _run_steps(None, np.asarray(amps, dtype=complex).reshape(-1, 2**net.n_neurons), net)
-    assert idx is None
+    n = net.n_neurons
+    idx, out = _run_steps(np.arange(2**n), np.asarray(amps, dtype=complex).reshape(-1, 2**n), net)
+    assert len(idx) == 2**n
     return out
 
 

@@ -263,7 +263,7 @@ class TestScenarioCommand:
         def forbidden(*args, **kwargs):
             raise AssertionError("a sample ran")
 
-        monkeypatch.setattr("qfnn.analysis._run_steps", forbidden)
+        monkeypatch.setattr("qfnn.network._run_steps", forbidden)
         monkeypatch.setattr("qfnn.analysis._truth_probabilities", forbidden)
         code = main(["scenario", name, "--samples", "100000000000000000000"])
         captured = capsys.readouterr()

@@ -102,10 +102,11 @@ def test_batched_rows_equal_rows_run_one_by_one(net, rows, seed):
     rng = np.random.default_rng(seed)
     batch = rng.normal(size=(rows, 2**net.n_neurons)) + 1j * rng.normal(size=(rows, 2**net.n_neurons))
     batch /= np.linalg.norm(batch, axis=1, keepdims=True)
-    got = _dense(*_run_steps(None, batch, net), net.n_neurons)
+    full = np.arange(2**net.n_neurons)
+    got = _dense(*_run_steps(full, batch, net), net.n_neurons)
     assert got.shape == batch.shape
     for row, amps in zip(got, batch):
-        one = _dense(*_run_steps(None, amps[None], net), net.n_neurons)
+        one = _dense(*_run_steps(full, amps[None], net), net.n_neurons)
         np.testing.assert_allclose(row, one[0], rtol=0, atol=1e-12)
     np.testing.assert_allclose(got, oracle_steps(batch, net), rtol=0, atol=1e-12)
 

@@ -255,14 +255,14 @@ def test_one_pass_equals_one_call_per_time(case, times, group):
     rotated = sum(len(step.targets) for step in net.steps if isinstance(step, UnitaryStep))
     budget = environment._ENSEMBLE_AMPS if group is None else group * 2**m * min(2**n, 2**m << rotated)
     calls = []
-    runner = environment._run_steps
+    runner = network._run_steps
 
     def counted(idx, amps, spec):
         calls.append(len(amps))
         return runner(idx, amps, spec)
 
     with mock.patch.object(environment, "_ENSEMBLE_AMPS", budget), \
-            mock.patch.object(environment, "_run_steps", counted):
+            mock.patch.object(network, "_run_steps", counted):
         ensembles = list(_averaged_ensembles(net, packets, times))
     assert len(calls) == (1 if group is None else -(-len(times) // group))
     assert sum(calls) == sum(len(w) for w, _, _ in ensembles)
@@ -292,7 +292,7 @@ def test_stacked_times_leave_the_full_form_bit_for_bit():
 def test_arguments_are_checked_for_every_time_before_any_runner_call():
     net = NetworkSpec((1, 1), ())
     packet = random_packet(1, 3, np.random.default_rng(3))
-    with mock.patch.object(environment, "_run_steps", side_effect=AssertionError("runner called")):
+    with mock.patch.object(network, "_run_steps", side_effect=AssertionError("runner called")):
         with pytest.raises(ValueError, match="t must be finite, got nan"):
             next(_averaged_ensembles(net, [packet], [0.0, 1.0, math.nan]))
         with pytest.raises(ValueError, match=r"input neuron 1: energy \d+ at t=-1e\+16 reaches"):

@@ -380,6 +380,18 @@ class TestPurity:
         with pytest.raises(ValueError, match="square"):
             purity(np.ones((2, 3)))
 
+    def test_allocates_no_matrix_sized_temporary(self):
+        """A 1024x1024 (16 MB) matrix: the sum runs in place, no copy of the matrix."""
+        a = np.random.default_rng(72).normal(size=(1024, 1024)).astype(np.complex128)
+        tracemalloc.start()
+        try:
+            value = purity(a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20, f"traced peak {peak / 2**20:.1f} MB"
+        assert value == pytest.approx(np.trace(a @ a).real, rel=1e-12)
+
 
 class TestPacketText:
     def test_round_trip(self):

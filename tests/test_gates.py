@@ -145,8 +145,8 @@ class TestApplySingle:
     @staticmethod
     def apply(amps, gate, target, n):
         net = NetworkSpec((n,), (UnitaryStep((gate,), (target,)),))
-        idx, out = _run_steps(None, np.asarray(amps, dtype=complex)[None], net)
-        assert idx is None
+        idx, out = _run_steps(np.arange(2**n), np.asarray(amps, dtype=complex)[None], net)
+        assert len(idx) == 2**n
         return out[0]
 
     def test_not_flips_the_addressed_neuron(self):

@@ -1,5 +1,7 @@
 """Unit tests for network specs, history execution, and the bundled layouts."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,10 +15,13 @@ from qfnn import (
     NOT_PARAMS,
     NetworkSpec,
     UnitaryStep,
+    WavePacket,
     basis_state,
     boolean_network_for,
     branch_amplitudes,
     complementarity_network,
+    eigenfunction,
+    evaluate_packet,
     hadamard_variant_network,
     input_layer,
     psi_amplitudes,
@@ -126,6 +131,24 @@ class TestBranchAmplitudes:
     def test_rejects_negative_threshold(self):
         with pytest.raises(ValueError, match="non-negative"):
             branch_amplitudes(basis_state(1, "0"), -1.0)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: branch_amplitudes(basis_state(1, "0"), NAN), "threshold must be non-negative, got nan"),
+    (lambda: verify_truth_table(boolean_network_for(MIRROR), MIRROR, tol=NAN), "tol must be non-negative, got nan"),
+    (lambda: verify_truth_table(boolean_network_for(MIRROR), MIRROR, tol=-1e-10), "tol must be non-negative"),
+    (lambda: evaluate_packet(WavePacket.uniform(), (0.0,) * 4, t=NAN), "t must be finite, got nan"),
+    (lambda: evaluate_packet(WavePacket.uniform(), (0.0,) * 4, t=math.inf), "t must be finite, got inf"),
+    (lambda: evaluate_packet(WavePacket.uniform(), (0.0, NAN, 0.0, 0.0)), "angles must be finite"),
+    (lambda: eigenfunction((0, 0, 0, 0), (0.0, 0.0, -math.inf, 0.0)), "angles must be finite"),
+], ids=["threshold-nan", "tol-nan", "tol-negative", "t-nan", "t-inf", "angle-nan", "angle-inf"])
+def test_nan_settings_are_rejected(call, match):
+    """NaN never slips through a comparison: each setting raises instead of returning a result."""
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 class TestBooleanNetworkFor:

@@ -34,7 +34,7 @@ from qfnn import (
 from qfnn import network
 from qfnn.cli import main
 from qfnn.environment import _averaged_ensembles
-from qfnn.network import _dense, _product_state, _run_steps, _truth_probabilities
+from qfnn.network import _branches, _dense, _run_steps, _truth_probabilities
 
 PROPERTY = settings(max_examples=30)
 FORMS = ("support", "full", "auto")
@@ -76,12 +76,17 @@ def nets(draw):
     return NetworkSpec((n,), tuple(steps))
 
 
+def start(columns, inputs, n):
+    """Runner input (idx, amps) of the product states; rows need not have unit norm."""
+    idx = _branches(inputs, n)
+    return idx, product_state(columns, inputs, n)[:, idx]
+
+
 def run(net, columns, inputs, name):
     with form(name):
-        idx, amps = _run_steps(*_product_state(columns, inputs, net.n_neurons), net)
-    if idx is not None:
-        assert np.all(np.diff(idx) > 0)
-        assert amps.shape == (len(columns), len(idx))
+        idx, amps = _run_steps(*start(columns, inputs, net.n_neurons), net)
+    assert np.all(np.diff(idx) > 0)
+    assert amps.shape == (len(columns), len(idx))
     return _dense(idx, amps, net.n_neurons)
 
 
@@ -129,10 +134,85 @@ def test_hadamard_on_every_neuron_fills_the_register(name, n, seed):
     phis = [GateParams(*rng.uniform(0.0, 6.28, 4)) for _ in range(m)]
     columns = np.array([[u2_from_params(p)[:, 0] for p in phis]]).reshape(1, -1, 2)
     with form(name):
-        idx, _ = _run_steps(*_product_state(columns, order[:m], n), net)
-    assert idx is None or len(idx) == 2**n
+        idx, _ = _run_steps(*start(columns, order[:m], n), net)
+    assert np.array_equal(idx, np.arange(2**n))
     expected = run_dense(product_state(columns, order[:m], n), net)
     np.testing.assert_allclose(run(net, columns, order[:m], name), expected, rtol=0, atol=1e-12)
+
+
+def inverse(steps):
+    """Steps that undo ``steps``: reversed, each gate daggered; an XOR step undoes itself."""
+    return tuple(
+        UnitaryStep(tuple(g.conj().T for g in step.gates), step.targets)
+        if isinstance(step, UnitaryStep) else step
+        for step in reversed(steps)
+    )
+
+
+def assert_unit_rows(amps):
+    np.testing.assert_allclose((np.abs(np.atleast_2d(amps)) ** 2).sum(axis=1), 1.0, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("name", FORMS)
+@PROPERTY
+@given(nets(), st.data())
+def test_histories_through_a_stack_and_its_inverse_return_the_start(name, net, data):
+    """``run_history``: unit norm after the stack, the start again after the stack and its inverse."""
+    n = net.n_neurons
+    inputs = data.draw(st.permutations(range(1, n + 1)))[: data.draw(st.integers(0, n))]
+    phis = [data.draw(angles) for _ in inputs]
+    initial = product_state(np.array([[u2_from_params(p)[:, 0] for p in phis]]).reshape(1, -1, 2), inputs, n)
+    with form(name):
+        there = run_history(net, phis, inputs).amps
+        back = run_history(NetworkSpec(net.layers, net.steps + inverse(net.steps)), phis, inputs).amps
+    assert_unit_rows(there)
+    np.testing.assert_allclose(there, run_dense(initial, net)[0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(back, initial[0], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", FORMS)
+@settings(max_examples=15)
+@given(nets(), st.integers(0, 2**32 - 1), st.data())
+def test_ensembles_through_a_stack_and_its_inverse_return_the_start(name, net, seed, data):
+    """``averaged_ensemble``: the start rows are the ensemble of the same packets on a net without steps."""
+    n = net.n_neurons
+    inputs = data.draw(st.permutations(range(1, n + 1)))[: data.draw(st.integers(1, min(n, 4)))]
+    rng = np.random.default_rng(seed)
+    packets = [random_packet(2, 4, rng) for _ in inputs]
+    there_and_back = NetworkSpec(net.layers, net.steps + inverse(net.steps))
+    with form(name):
+        weights, idx, initial = averaged_ensemble(NetworkSpec(net.layers, ()), packets, 0.3, inputs)
+        there = averaged_ensemble(net, packets, 0.3, inputs)
+        back = averaged_ensemble(there_and_back, packets, 0.3, inputs)
+    initial = _dense(idx, initial, n)
+    assert_unit_rows(there[2])
+    for got, expected in ((there, run_dense(initial, net)), (back, initial)):
+        assert np.array_equal(got[0], weights)
+        np.testing.assert_allclose(_dense(*got[1:], n), expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", FORMS)
+def test_a_support_grown_to_the_whole_register_takes_a_boolean_step(name):
+    """Random gates spread one input over all 2^5 branches, then an XOR step relabels them.
+
+    Forced to the support form, the boolean step runs on a support with
+    S = 2^N, and the runner returns that support as the full form.
+    """
+    rng = np.random.default_rng(5)
+    gates = tuple(u2_from_params(GateParams(*rng.uniform(0.0, 6.28, 4))) for _ in range(4))
+    spread = UnitaryStep(gates, (2, 3, 4, 5))
+    relabel = BooleanStep(BooleanFunction(2, 3, rng.integers(0, 8, 4)), (4, 1), (2, 5, 3))
+    net = NetworkSpec((5,), (spread, relabel))
+    phi = GateParams(*rng.uniform(0.0, 6.28, 4))
+    initial = product_state(u2_from_params(phi)[None, None, :, 0], (1,), 5)
+    with form(name):
+        idx, _ = network._history(net, [phi], (1,))
+        there = run_history(net, [phi], (1,)).amps
+        back = run_history(NetworkSpec((5,), net.steps + inverse(net.steps)), [phi], (1,)).amps
+    assert np.array_equal(idx, np.arange(2**5))
+    assert_unit_rows(there)
+    np.testing.assert_allclose(there, run_dense(initial, net)[0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(back, initial[0], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("name", FORMS)
