@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boolfn import BooleanFunction
-from .csvtext import _cell, _g12, _quoted
+from .csvtext import _cell, _g12, _quoted, _write
 from .environment import WavePacket, _averaged_ensembles, _density, purity
 from .gates import GateParams, _response_columns, psi_amplitudes
 from .network import (
@@ -113,8 +113,7 @@ class ScenarioReport:
         )
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_csv())
+        _write(path, self.to_csv().encode())
 
 
 def _phi_tag(phi: GateParams) -> str:

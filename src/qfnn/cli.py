@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import sys
 from typing import Callable
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import analysis
 from .boolfn import parse_truth_table
-from .csvtext import _G12_WIDTH, _csv_lines, _g12
+from .csvtext import _G12_WIDTH, _chunks, _g12, _write
 from .environment import WavePacket, _averaged_ensembles, parse_packet
 from .errors import ParseError
 from .gates import GateParams, fixed_gate
@@ -38,9 +39,9 @@ from .network import (
 from .qstate import _entropy_bits
 
 _RUN_THRESHOLD = 1e-12
-#: Largest ``run`` or ``average`` CSV built, in bytes: building takes about 4x the
-#: text (one ``average`` time at N=21: 55 MB, 240 MB resident), and a 1->23 net
-#: needs 0.5 GB of text.
+#: Limit on a lower bound of the ``run`` or ``average`` CSV, in bytes, checked before
+#: any formatting: the file can be larger (full-support ``run`` at N=21: 54.5 MB
+#: counted, 88 MB written). Memory is bounded by the writer's chunk, not by this.
 _CSV_BUDGET = 64 << 20
 
 
@@ -216,17 +217,6 @@ def _read_text(path: str) -> str:
         raise OSError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-        return
-    try:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OSError(f"cannot write {out_path}: {exc.strerror or exc}") from None
-
-
 #: Scenario name -> report builder from the parsed flags and the one --phi, if any.
 SCENARIOS: dict[str, Callable[[argparse.Namespace, GateParams | None], analysis.ScenarioReport]] = {
     "table1": lambda args, phi: analysis.table1_check(),
@@ -251,7 +241,7 @@ def run_command(args: argparse.Namespace) -> int:
         if len(phis) > 1:
             raise ValueError(f"scenario takes at most one --phi, got {len(phis)}")
         report = SCENARIOS[args.name](args, phis[0] if phis else None)
-        _emit(report.to_csv(), args.out)
+        _write(args.out, report.to_csv().encode())
         return 0 if report.passed else 1
 
     if args.command == "run":
@@ -265,26 +255,30 @@ def run_command(args: argparse.Namespace) -> int:
         kept, amps = _branch_rows(*_history(net, phis, inputs), _RUN_THRESHOLD)
         # Each row takes N + 5 bytes or more: the bits, two numbers, two commas, a newline.
         _check_size(len(amps) * (n + 5), f"run output of {len(amps)} branches")
-        bits = _bit_digits(kept, n)
-        cells = np.zeros((len(amps), 3, max(n + 1, _G12_WIDTH)), np.uint8)
-        cells[:, 0, :n] = bits
-        cells[:, 1:, :_G12_WIDTH] = _g12(amps.view(np.float64).reshape(-1, 2))
-        _emit((b"branch,re,im\n" + _csv_lines(cells)).decode(), args.out)
+        values = amps.view(np.float64).reshape(-1, 2)
+
+        def branches(cells, rows):
+            cells[:, 0, :n] = _bit_digits(kept[rows], n)
+            cells[:, 1:, :_G12_WIDTH] = _g12(values[rows])
+
+        _write(args.out, b"branch,re,im\n", _chunks(len(amps), (3, max(n + 1, _G12_WIDTH)), branches))
         return 0
 
     if args.command == "verify":
         net, _ = parse_network_config(_read_text(args.net))
         g = parse_truth_table(_read_text(args.fn))
         report = verify_truth_table(net, g)
-        probs = report.probabilities
-        cells = np.zeros((len(probs), 4, max(g.m + 1, g.n + 1, _G12_WIDTH)), np.uint8)
-        cells[:, 0, : g.m] = _bit_digits(np.arange(len(probs)), g.m)
-        cells[:, 1, : g.n] = _bit_digits(np.asarray(g.outputs), g.n)
-        cells[:, 2, :_G12_WIDTH] = _g12(probs)
+        probs, outputs, verdicts = report.probabilities, np.asarray(g.outputs), report.verdicts
         verdict_text = np.frombuffer(b"falsetrue\0", np.uint8).reshape(2, 5)
-        cells[:, 3, :5] = verdict_text[report.verdicts.astype(np.intp)]
-        body = _csv_lines(cells)
-        _emit((b"input,expected_output,probability,pass\n" + body).decode(), args.out)
+
+        def drives(cells, rows):
+            cells[:, 0, : g.m] = _bit_digits(np.arange(rows.start, rows.stop), g.m)
+            cells[:, 1, : g.n] = _bit_digits(outputs[rows], g.n)
+            cells[:, 2, :_G12_WIDTH] = _g12(probs[rows])
+            cells[:, 3, :5] = verdict_text[verdicts[rows].astype(np.intp)]
+
+        shape = (4, max(g.m + 1, g.n + 1, _G12_WIDTH))
+        _write(args.out, b"input,expected_output,probability,pass\n", _chunks(len(probs), shape, drives))
         return 0 if report.passed else 1
 
     # average: the parser offers no other command.
@@ -304,16 +298,30 @@ def run_command(args: argparse.Namespace) -> int:
             f"need {len(inputs)} packets for input neurons {list(inputs)}, "
             f"got {len(packets)}"
         )
-    columns = np.full((1, 2**n, n + 3), ord("p"), np.uint8)  # "p_", the bits, a free byte
-    columns[..., 1], columns[0, :, 2:-1] = ord("_"), _bit_digits(np.arange(2**n), n)
-    lines = [b"t,trace,purity,entropy_bits," + _csv_lines(columns)]
-    # The weights are the spectrum, so no 4^N matrix is needed.
-    for t, (w, idx, amps) in zip(times, _averaged_ensembles(net, packets, times, inputs)):
-        row = np.zeros((1, 4 + 2**n))
-        row[0, :4] = t, w.sum(), w @ w, _entropy_bits(w)
-        row[0, 4 + idx] = np.clip(w @ np.abs(amps) ** 2, 0.0, None)
-        lines.append(_csv_lines(_g12(row)))
-    _emit(b"".join(lines).decode(), args.out)
+
+    def names(cells, columns):  # "p_", the bits, a free byte
+        cells[:, 0, :2] = ord("p"), ord("_")
+        cells[:, 0, 2:-1] = _bit_digits(np.arange(columns.start, columns.stop), n)
+
+    def row(t, ensemble):  # the weights are the spectrum, so no 4^N matrix is needed
+        w, idx, amps = ensemble
+        values = np.zeros(4 + 2**n)
+        values[:4] = t, w.sum(), w @ w, _entropy_bits(w)
+        values[4 + idx] = np.clip(w @ np.abs(amps) ** 2, 0.0, None)
+        return values
+
+    def lines():
+        rows = map(row, times, _averaged_ensembles(net, packets, times, inputs))
+        rows = itertools.chain([next(rows)], rows)  # every input check runs in this first row
+
+        def numbers(cells, columns):
+            cells[:, 0] = _g12(values[columns])
+
+        yield from _chunks(2**n, (1, n + 3), names, line=True)
+        for values in rows:
+            yield from _chunks(len(values), (1, _G12_WIDTH), numbers, line=True)
+
+    _write(args.out, b"t,trace,purity,entropy_bits,", lines())
     return 0
 
 

@@ -159,7 +159,7 @@ class WavePacket:
 
     def evolved_coefficients(self, t) -> np.ndarray:
         """A_n exp(-i |n|^2 t), aligned with ``modes``; one row per time for arrays of t."""
-        t = np.asarray(t, dtype=np.float64)
+        t = _checked_times(t, int(self._energies.max()))
         return self._values * np.exp(-1j * self._energies * t[..., None])
 
     def truncate(self, n_max: int) -> "WavePacket":
@@ -193,11 +193,24 @@ class WavePacket:
         )
 
 
+def _checked_times(t, energy: int, where: str = "") -> np.ndarray:
+    """``t`` as float64, refused if a time is not finite or ``energy`` |t| reaches 2^52."""
+    t = np.asarray(t, dtype=np.float64)
+    values = t.ravel().tolist()
+    for value in values:
+        if not math.isfinite(value):
+            raise ValueError(f"t must be finite, got {value!r}")
+    far = max(values, key=abs, default=0.0)
+    if energy * abs(far) >= _PHASE_LIMIT:
+        raise ValueError(f"{where}energy {energy} at t={far!r} reaches |n|^2 |t| >= 2^52, "
+                         "where float64 keeps no digit of the phase")
+    return t
+
+
 def evaluate_packet(packet: WavePacket, phi, t: float = 0.0) -> complex:
     """Packet value Psi(phi, t) at one point of the torus."""
     angles, t = _angles_of(phi), float(t)
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t!r}")
+    _checked_times(t, int(packet._energies.max()))
     phases = packet._modes @ angles - packet._energies * t
     return complex(np.sum(packet._values * np.exp(1j * phases)) / _FOUR_PI_SQ)
 
@@ -255,10 +268,7 @@ def _averaged_ensembles(
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """``averaged_ensemble`` at each time, bit for bit, checked at the first ``next``: one ``eigh``
     for all times, then one runner call per group within _ENSEMBLE_AMPS rows x support bound."""
-    times = np.array([float(t) for t in times])
-    for t in times.tolist():
-        if not math.isfinite(t):
-            raise ValueError(f"t must be finite, got {t!r}")
+    times = _checked_times([float(t) for t in times], 0)
     packets = list(packets)
     if not packets:
         raise ValueError("need at least one input packet")
@@ -272,11 +282,8 @@ def _averaged_ensembles(
             f"{len(packets)} packets for {len(inputs)} input neurons; counts must match"
         )
     inputs = _checked_inputs(inputs, n)
-    far = max(times.tolist(), key=abs, default=0.0)
-    for q, energy_max in zip(inputs, (int(p._energies.max()) for p in packets)):
-        if energy_max * abs(far) >= _PHASE_LIMIT:
-            raise ValueError(f"input neuron {q}: energy {energy_max} at t={far!r} reaches "
-                             "|n|^2 |t| >= 2^52, where float64 keeps no digit of the phase")
+    for q, p in zip(inputs, packets):
+        _checked_times(times, int(p._energies.max()), f"input neuron {q}: ")
     rho = _averaged_densities(packets, times)
     # Packets hold unit norm, so each trace, sum |c|^2, is 1 within ~1e-12.
     lam, vecs = np.linalg.eigh(rho / (rho[..., :1, :1].real + rho[..., 1:, 1:].real))
@@ -299,6 +306,7 @@ def _averaged_ensembles(
         idx, amps = _evolve(net, columns[keep], inputs, _NORM_ATOL)
         ends = np.cumsum(keep.sum(axis=1)).tolist()
         yield from ((wt[kept], idx, amps[s:e]) for wt, kept, s, e in zip(w, keep, [0] + ends, ends))
+        del idx, amps  # before the next group runs: the caller holds what it still needs
 
 
 def averaged_ensemble(

@@ -302,7 +302,7 @@ def _branch_rows(idx: np.ndarray, amps: np.ndarray, threshold: float):
     """(basis indices, amplitudes) of the branches with |amplitude| above ``threshold``."""
     # hypot rounds as abs() does on one amplitude; np.abs on arrays can be an ulp off.
     keep = np.flatnonzero(np.hypot(amps.real, amps.imag) > threshold)
-    return idx[keep], amps[keep]
+    return (idx, amps) if len(keep) == len(amps) else (idx[keep], amps[keep])
 
 
 def branch_amplitudes(

@@ -25,7 +25,8 @@ from qfnn import (
     run_history,
 )
 from qfnn.analysis import MAX_SAMPLES
-from qfnn.environment import MAX_MODE_COMPONENT
+from qfnn.environment import MAX_MODE_COMPONENT, _averaged_ensembles
+from qfnn.network import _history
 from qfnn.cli import (
     SCENARIOS,
     _build_parser,
@@ -606,3 +607,100 @@ def test_no_command_loads_numpy_ma(tmp_path):
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def hadamard_everywhere(tmp_path, width):
+    """Config of layers [1, width - 1] with a Hadamard on every neuron: all 2^width branches."""
+    net = tmp_path / f"full{width}.net"
+    net.write_text(f"layers = [1, {width - 1}]\n[step]\nkind = post_unitary\n"
+                   f"targets = {list(range(1, width + 1))}\ngate = hadamard\n", encoding="utf-8")
+    return net
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamedOutput:
+    """Every CSV is written a bounded chunk at a time, to a target opened only after the
+    input has passed every check."""
+
+    def test_run_peaks_at_its_history_plus_a_fixed_bound(self, tmp_path):
+        """Full support at N=18: 9.5 MB of CSV, which whole-body formatting held ~5 times over."""
+        net, out = hadamard_everywhere(tmp_path, 18), tmp_path / "run.csv"
+        spec, inputs = parse_network_config(net.read_text(encoding="utf-8"))
+        history = traced_peak(lambda: _history(spec, [parse_phi("0,0,0,1")], inputs))
+        argv = ["run", "--net", str(net), "--phi", "0,0,0,1", "--out", str(out)]
+        peak = traced_peak(lambda: main(argv))
+        assert out.stat().st_size > 9 * 2**20
+        assert peak <= history + 2**20, (peak, history)
+
+    def test_average_peaks_at_its_ensembles_plus_a_fixed_bound(self, tmp_path):
+        """Full support at N=16 and four times: 5.7 MB of CSV, once all held until the end."""
+        net, out = hadamard_everywhere(tmp_path, 16), tmp_path / "average.csv"
+        spec, inputs = parse_network_config(net.read_text(encoding="utf-8"))
+        times = (0.0, 0.5, 1.0, 1.5)
+
+        def ensembles():  # each time's probabilities as one dense row, kept until the next
+            rows = []
+            for w, idx, amps in _averaged_ensembles(spec, [WavePacket.uniform()], times, inputs):
+                row = np.zeros(2**16)
+                row[idx] = np.clip(w @ np.abs(amps) ** 2, 0.0, None)
+                rows[:] = [row]
+
+        reference = traced_peak(ensembles)
+        peak = traced_peak(lambda: main(["average", "--net", str(net), "--t", "0,0.5,1,1.5",
+                                         "--out", str(out)]))
+        assert out.stat().st_size > 5 * 2**20
+        assert peak <= reference + 2**20, (peak, reference)
+
+    def test_run_refused_on_its_budget_keeps_an_existing_file(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("qfnn.cli._CSV_BUDGET", 8)
+        net, out = tmp_path / "mirror.net", tmp_path / "kept.csv"
+        net.write_text(MIRROR_NET, encoding="utf-8")
+        out.write_bytes(b"earlier,bytes\n")
+        assert main(["run", "--net", str(net), "--phi", "0,0,0,pi", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: run output of 2 branches needs at least 14 bytes of CSV; the limit is 8\n"
+        )
+        assert out.read_bytes() == b"earlier,bytes\n"
+
+    def test_average_refused_on_its_times_keeps_an_existing_file(self, tmp_path, capsys):
+        net, out = tmp_path / "mirror.net", tmp_path / "kept.csv"
+        net.write_text(MIRROR_NET, encoding="utf-8")
+        out.write_bytes(b"earlier,bytes\n")
+        assert main(["average", "--net", str(net), "--t", "0,nan", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: t must be finite, got nan\n"
+        assert out.read_bytes() == b"earlier,bytes\n"
+
+    def test_average_failing_at_a_later_time_leaves_the_earlier_rows(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        """The first time group is checked before any byte is written; a later group that
+        fails its check ends the output after the rows already written."""
+        def failing_after_one(*args):
+            yield next(_averaged_ensembles(*args))
+            raise ValueError("state vector is not normalized: |psi|^2 = 2")
+
+        monkeypatch.setattr("qfnn.cli._averaged_ensembles", failing_after_one)
+        net = tmp_path / "mirror.net"
+        net.write_text(MIRROR_NET, encoding="utf-8")
+        assert main(["average", "--net", str(net), "--t", "0,0.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: state vector is not normalized: |psi|^2 = 2\n"
+        assert captured.out == "t,trace,purity,entropy_bits,p_00,p_01,p_10,p_11\n0,1,0.5,1,0.5,0,0,0.5\n"
+
+    def test_stdout_without_a_byte_buffer_takes_the_same_text(self, tmp_path, capsys):
+        """``main`` under ``redirect_stdout`` to a ``StringIO`` (no ``.buffer``) still prints."""
+        net = tmp_path / "hv.net"
+        net.write_text(HV_NET, encoding="utf-8")
+        argv = ["run", "--net", str(net), "--phi", "1,2,3,4"]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        with contextlib.redirect_stdout(io.StringIO()) as text:
+            assert main(argv) == 0
+        assert text.getvalue() == printed and printed.startswith("branch,re,im\n")

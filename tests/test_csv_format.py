@@ -8,6 +8,7 @@ on it, to the ``%.12g`` templates kept in ``csv_oracle.py``.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +26,7 @@ from qfnn import (
     parse_packet,
     random_packet,
 )
+from qfnn import csvtext
 from qfnn.cli import main, parse_network_config
 from qfnn.csvtext import _G12_WIDTH, _g12
 
@@ -164,3 +166,103 @@ def test_average_csv_is_the_per_value_template(tmp_path_factory, net, data):
     assert main(argv + ["--out", str(d / "o.csv")]) == 0
     packets = [parse_packet((d / f"{k}.pk").read_text()) for k in range(len(packets))]
     assert (d / "o.csv").read_text() == csv_oracle.average_csv(net, packets, times, inputs)
+
+
+# Chunk boundaries.  ``csvtext._chunks`` formats ``_CHUNK_ROWS`` rows (``average``: cells
+# of one line) at a time; each output is held to its template at one chunk less one,
+# exactly one, one more and three or more, and stdout must carry the bytes ``--out`` gets.
+
+CHUNK = csvtext._CHUNK_ROWS
+LONGEST = -1.23456789012e-100  # "%.12g" takes 19 bytes, one short of a cell
+
+
+def chunk_sizes(items):
+    """``_CHUNK_ROWS`` values that put ``items`` rows at chunk - 1, chunk, chunk + 1, >= 3 chunks."""
+    return [items + 1, items, items - 1, items // 3]
+
+
+def both_ways(argv, out, capsysbinary):
+    """``qfnn`` output to stdout and to ``--out``: equal bytes, returned as text."""
+    code = main(argv)
+    printed = capsysbinary.readouterr().out
+    assert main(argv + ["--out", str(out)]) == code
+    assert capsysbinary.readouterr().out == b""
+    assert out.read_bytes() == printed
+    return printed.decode()
+
+
+def test_chunks_format_each_value_as_the_template_at_every_boundary(monkeypatch):
+    values = np.array([LONGEST, -0.0, 0.0, 1e300, 5e-324, -1.0 / 3.0, math.nan, -math.inf] * 4)
+    for rows in chunk_sizes(len(values)):
+        monkeypatch.setattr(csvtext, "_CHUNK_ROWS", rows)
+        for line in (False, True):
+
+            def fill(cells, part):
+                cells[:, 0] = _g12(values[part])
+
+            text = b"".join(csvtext._chunks(len(values), (1, _G12_WIDTH), fill, line))
+            cells = [b"%.12g" % v for v in values.tolist()]
+            assert text == (b",".join(cells) + b"\n" if line else b"\n".join(cells) + b"\n")
+
+
+@pytest.mark.parametrize("chunk_of", [None] + [lambda r, k=k: chunk_sizes(r)[k] for k in range(4)],
+                         ids=["4-chunks", "chunk-1", "chunk", "chunk+1", "3-chunks"])
+def test_run_csv_at_chunk_boundaries(tmp_path, capsysbinary, monkeypatch, chunk_of):
+    """13 inputs with phi2 = 0 and no step: 2^13 rows, four chunks at the module's own
+    size, with -0 cells and 18-byte ones such as -1.05714606492e-05."""
+    net = tmp_path / "wide.net"
+    net.write_text("layers = [13]\n")
+    phis = [GateParams(0.0, 0.0, 0.0, 1.0 + k % 3) for k in range(13)]
+    if chunk_of is not None:
+        monkeypatch.setattr(csvtext, "_CHUNK_ROWS", chunk_of(2**13))
+    text = both_ways(["run", "--net", str(net), *map(phi_arg, phis)], tmp_path / "o.csv",
+                     capsysbinary)
+    assert text.count("\n") == 2**13 + 1 and ",-0\n" in text and ",-1.05714606492e-05," in text
+    assert text == csv_oracle.run_csv(parse_network_config(net.read_text())[0], phis, range(1, 14))
+
+
+@pytest.mark.parametrize("chunk_of", [None] + [lambda r, k=k: chunk_sizes(r)[k] for k in range(4)],
+                         ids=["one-chunk", "chunk-1", "chunk", "chunk+1", "3-chunks"])
+def test_verify_csv_at_chunk_boundaries(tmp_path, capsysbinary, monkeypatch, chunk_of):
+    """2^11 drives, exactly one chunk at the module's own size; the table checked differs
+    from the net's on every odd input, so both verdicts print."""
+    m, n = 11, 2
+    rng = np.random.default_rng(11)
+    h = BooleanFunction(m, n, rng.integers(0, 2**n, 2**m).tolist())
+    g = BooleanFunction(m, n, [v ^ (s & 1) for s, v in enumerate(h.outputs)])
+    spec = NetworkSpec((m, n), (BooleanStep(h, range(1, m + 1), (12, 13)),))
+    (tmp_path / "net.cfg").write_text(config_text(spec))
+    (tmp_path / "g.fn").write_text(format_truth_table(g))
+    if chunk_of is not None:
+        monkeypatch.setattr(csvtext, "_CHUNK_ROWS", chunk_of(2**m))
+    argv = ["verify", "--net", str(tmp_path / "net.cfg"), "--fn", str(tmp_path / "g.fn")]
+    text = both_ways(argv, tmp_path / "o.csv", capsysbinary)
+    assert ",true\n" in text and ",false\n" in text
+    assert text == csv_oracle.verify_csv(spec, g)
+
+
+@pytest.mark.parametrize("chunk", [2**8 + 5, 2**8 + 4, 2**8 + 3, 2**8 + 1, 2**8, 2**8 - 1, 2**8 // 3])
+def test_average_csv_at_chunk_boundaries(tmp_path, capsysbinary, monkeypatch, chunk):
+    """2^8 header columns and 2^8 + 4 cells per time, each one chunk less one, exactly one
+    and one more, or three chunks and more; the times print -0 and a 19-byte cell."""
+    net = tmp_path / "wide.net"
+    net.write_text("layers = [2, 6]\n[step]\nkind = post_unitary\ntargets = [3, 5, 8]\n"
+                   "gate = hadamard\n")
+    monkeypatch.setattr(csvtext, "_CHUNK_ROWS", chunk)
+    times = (-0.0, LONGEST, 0.5)
+    argv = ["average", "--net", str(net), "--t=" + ",".join(map(repr, times))]
+    text = both_ways(argv, tmp_path / "o.csv", capsysbinary)
+    assert "\n-0," in text and f"\n{LONGEST:.12g}," in text and len(f"{LONGEST:.12g}") == 19
+    spec, inputs = parse_network_config(net.read_text())
+    assert text == csv_oracle.average_csv(spec, [WavePacket.uniform()] * 2, times, inputs)
+
+
+def test_average_csv_in_three_chunks_and_more_at_the_module_size(tmp_path, capsysbinary):
+    net = tmp_path / "wide.net"
+    net.write_text("layers = [1, 12]\n[step]\nkind = post_unitary\ntargets = [2, 7, 13]\n"
+                   "gate = hadamard\n")
+    assert 2**13 >= 3 * CHUNK
+    text = both_ways(["average", "--net", str(net), "--t", "0,0.5"], tmp_path / "o.csv",
+                     capsysbinary)
+    spec, inputs = parse_network_config(net.read_text())
+    assert text == csv_oracle.average_csv(spec, [WavePacket.uniform()], (0.0, 0.5), inputs)

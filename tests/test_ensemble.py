@@ -25,6 +25,7 @@ from qfnn import (
     BooleanStep,
     NetworkSpec,
     UnitaryStep,
+    WavePacket,
     averaged_density,
     averaged_ensemble,
     format_packet,
@@ -222,6 +223,25 @@ def test_average_command_never_builds_a_4n_matrix(tmp_path):
     for row in rows[1:]:
         assert float(row[1]) == pytest.approx(1.0, abs=1e-12)
         assert sum(float(p) for p in row[4:]) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_each_time_group_is_released_before_the_next_runs():
+    """Full support at N=16, one time per group, 2 MB of amplitudes each: iterating two
+    times peaks as one does.  Kept alive through the next group's run, the first group
+    added 64 MB to the peak of an N=20 ``qfnn average`` at two times."""
+    net = NetworkSpec((1, 15), (UnitaryStep((HADAMARD,) * 16, range(1, 17)),))
+
+    def peak(times):
+        tracemalloc.start()
+        try:
+            for w, idx, amps in _averaged_ensembles(net, [WavePacket.uniform()], times, (1,)):
+                del w, idx, amps
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, two = peak((0.0,)), peak((0.0, 0.5))
+    assert two <= one + 2**19, (one, two)
 
 
 #: Times with repeats and 0 drawn often: rows of equal times must still be computed alike.

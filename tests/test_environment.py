@@ -314,6 +314,39 @@ class TestAveragedDensity:
             averaged_density(net, [uniform], t=math.inf)
 
 
+PAST_THE_PHASE = (
+    "energy 1 at t=1e+17 reaches |n|^2 |t| >= 2^52, where float64 keeps no digit of the phase"
+)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p, t: p.evolved_coefficients(t),
+        lambda p, t: evaluate_packet(p, (0.0,) * 4, t),
+        lambda p, t: averaged_ensemble(boolean_network_for(MIRROR), [p], t),
+    ],
+    ids=["evolved_coefficients", "evaluate_packet", "averaged_ensemble"],
+)
+@pytest.mark.parametrize(
+    "t, message",
+    [(math.nan, "t must be finite, got nan"), (-math.inf, "t must be finite, got -inf"),
+     (1e17, PAST_THE_PHASE)],
+    ids=["nan", "-inf", "past-2^52"],
+)
+def test_every_time_entry_refuses_a_phase_without_digits(call, t, message):
+    """A non-finite t gave nan, and |n|^2 |t| >= 2^52 a unit-modulus value with no digit of
+    the phase, from the two packet calls; every entry now shares the ensemble's check."""
+    r = 1.0 / math.sqrt(2.0)
+    packet = WavePacket({(0, 0, 0, 0): r, (0, 0, 0, 1): r})
+    with pytest.raises(ValueError) as exc:
+        call(packet, t)
+    assert str(exc.value).endswith(message)
+    call(packet, 1e15)  # below the limit every entry still answers
+    if t == 1e17:
+        call(WavePacket.uniform(), t)  # energy 0: any finite time keeps its phase
+
+
 @st.composite
 def packets_and_times(draw):
     """Random packet (truncation <= 3, 1-24 modes) and time."""
