@@ -77,10 +77,12 @@ def parse_phi(text: str) -> GateParams:
 
 
 def parse_float_list(text: str) -> tuple[float, ...]:
-    """Comma-separated reals, e.g. ``0,0.5,3.7``."""
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
+    """Comma-separated reals, e.g. ``0,0.5,3.7``; an empty item is refused."""
+    parts = [p.strip() for p in text.split(",")]
+    if not any(parts):
         raise ParseError("empty number list")
+    if not all(parts):
+        raise ParseError(f"empty item in number list {text!r}")
     try:
         return tuple(float(p) for p in parts)
     except ValueError:
@@ -91,9 +93,11 @@ def _int_list(value: str, lineno: int) -> tuple[int, ...]:
     inner = value.strip()
     if inner.startswith("[") and inner.endswith("]"):
         inner = inner[1:-1]
-    parts = [p.strip() for p in inner.split(",") if p.strip()]
-    if not parts:
+    parts = [p.strip() for p in inner.split(",")]
+    if not any(parts):
         raise ParseError(f"empty integer list {value!r}", line=lineno)
+    if not all(parts):
+        raise ParseError(f"empty item in integer list {value!r}", line=lineno)
     try:
         return tuple(int(p) for p in parts)
     except ValueError:
@@ -107,15 +111,30 @@ def _split_kv(line: str, lineno: int) -> tuple[str, str]:
     return line[:cut].strip().lower(), line[cut + 1 :].strip()
 
 
-def _build_step(fields: dict, lineno: int):
-    kind = fields.get("kind")
-    if kind is None:
+#: The keys each step kind takes, all of them required.
+_STEP_KEYS = {
+    "boolean": ("kind", "controls", "targets", "table"),
+    "post_unitary": ("kind", "targets", "gate"),
+}
+
+
+def _build_step(lines: dict[str, tuple[str, int]], lineno: int):
+    """The step of the block at line ``lineno``, whose keys map to (value, line)."""
+    if "kind" not in lines:
         raise ParseError("step block is missing 'kind'", line=lineno)
-    kind = kind.strip().lower()
+    kind = lines["kind"][0].strip().lower()
+    if kind not in _STEP_KEYS:
+        raise ParseError(
+            f"unknown step kind {kind!r}; expected 'boolean' or 'post_unitary'", line=lineno
+        )
+    for key, (_, line) in lines.items():
+        if key not in _STEP_KEYS[kind]:
+            raise ParseError(f"{kind} step does not take {key!r}", line=line)
+    for key in _STEP_KEYS[kind]:
+        if key not in lines:
+            raise ParseError(f"{kind} step is missing {key!r}", line=lineno)
+    fields = {key: value for key, (value, _) in lines.items()}
     if kind == "boolean":
-        for key in ("controls", "targets", "table"):
-            if key not in fields:
-                raise ParseError(f"boolean step is missing {key!r}", line=lineno)
         controls = _int_list(fields["controls"], lineno)
         targets = _int_list(fields["targets"], lineno)
         entries = [e.strip() for e in fields["table"].split(",") if e.strip()]
@@ -127,20 +146,12 @@ def _build_step(fields: dict, lineno: int):
             return BooleanStep(g, controls, targets)
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno) from None
-    if kind == "post_unitary":
-        for key in ("targets", "gate"):
-            if key not in fields:
-                raise ParseError(f"post_unitary step is missing {key!r}", line=lineno)
-        targets = _int_list(fields["targets"], lineno)
-        try:
-            gate = fixed_gate(fields["gate"])
-            return UnitaryStep(tuple(gate for _ in targets), targets)
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno) from None
-    raise ParseError(
-        f"unknown step kind {kind!r}; expected 'boolean' or 'post_unitary'",
-        line=lineno,
-    )
+    targets = _int_list(fields["targets"], lineno)
+    try:
+        gate = fixed_gate(fields["gate"])
+        return UnitaryStep(tuple(gate for _ in targets), targets)
+    except ValueError as exc:
+        raise ParseError(str(exc), line=lineno) from None
 
 
 def parse_network_config(text: str) -> tuple[NetworkSpec, tuple[int, ...]]:
@@ -161,11 +172,13 @@ def parse_network_config(text: str) -> tuple[NetworkSpec, tuple[int, ...]]:
         kind = post_unitary
         targets = [4]
         gate = hadamard
+
+    Each step kind takes exactly the keys shown.  A repeated key, a key the kind does
+    not take and an empty list item are each a ``ParseError`` that names the line.
     """
     if not isinstance(text, str):
         raise ParseError(f"expected text, got {type(text).__name__}")
-    layers: tuple[int, ...] | None = None
-    inputs: tuple[int, ...] | None = None
+    top: dict[str, tuple[int, ...]] = {}
     steps = []
     current: dict | None = None
     current_line = 0
@@ -189,22 +202,21 @@ def parse_network_config(text: str) -> tuple[NetworkSpec, tuple[int, ...]]:
         if current is not None:
             if key in current:
                 raise ParseError(f"duplicate key {key!r} in step", line=lineno)
-            current[key] = value
-            continue
-        if key == "layers":
-            layers = _int_list(value, lineno)
-        elif key == "inputs":
-            inputs = _int_list(value, lineno)
-        else:
+            current[key] = value, lineno
+        elif key not in ("layers", "inputs"):
             raise ParseError(f"unknown top-level key {key!r}", line=lineno)
+        elif key in top:
+            raise ParseError(f"duplicate key {key!r}", line=lineno)
+        else:
+            top[key] = _int_list(value, lineno)
     flush()
-    if layers is None:
+    if "layers" not in top:
         raise ParseError("config is missing 'layers'")
     try:
-        net = NetworkSpec(layers, tuple(steps))
-        if inputs is None:
+        net = NetworkSpec(top["layers"], tuple(steps))
+        if "inputs" not in top:
             return net, input_layer(net)
-        return net, _checked_inputs(inputs, net.n_neurons)
+        return net, _checked_inputs(top["inputs"], net.n_neurons)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 
@@ -217,15 +229,15 @@ def _read_text(path: str) -> str:
         raise OSError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
-#: Scenario name -> report builder from the parsed flags and the one --phi, if any.
-SCENARIOS: dict[str, Callable[[argparse.Namespace, GateParams | None], analysis.ScenarioReport]] = {
-    "table1": lambda args, phi: analysis.table1_check(),
-    "table2": lambda args, phi: analysis.table2_check(phi),
-    "boolean-mn": lambda args, phi: analysis.boolean_mn_check(seed=args.seed, samples=args.samples),
-    "xor": lambda args, phi: analysis.xor_reflexivity_check(samples=args.samples, seed=args.seed),
-    "hadamard-variant": lambda args, phi: analysis.hadamard_variant_check(phi),
-    "complementarity": lambda args, phi: analysis.complementarity_check(phi),
-    "averaged-dynamics": lambda args, phi: analysis.averaged_dynamics_check(t_values=args.t),
+#: Scenario name -> report builder from the parsed flags, the one --phi (or None) and the --t times.
+SCENARIOS: dict[str, Callable[..., analysis.ScenarioReport]] = {
+    "table1": lambda args, phi, t: analysis.table1_check(),
+    "table2": lambda args, phi, t: analysis.table2_check(phi),
+    "boolean-mn": lambda args, phi, t: analysis.boolean_mn_check(args.seed, args.samples),
+    "xor": lambda args, phi, t: analysis.xor_reflexivity_check(args.samples, args.seed),
+    "hadamard-variant": lambda args, phi, t: analysis.hadamard_variant_check(phi),
+    "complementarity": lambda args, phi, t: analysis.complementarity_check(phi),
+    "averaged-dynamics": lambda args, phi, t: analysis.averaged_dynamics_check(t_values=t),
 }
 
 
@@ -237,11 +249,12 @@ def _check_size(needed: int, what: str) -> None:
 def run_command(args: argparse.Namespace) -> int:
     """Execute one parsed invocation; returns the process exit status."""
     phis = tuple(parse_phi(p) for p in getattr(args, "phi", None) or ())
+    times = parse_float_list(getattr(args, "t", "0"))
     if args.command == "scenario":
         if len(phis) > 1:
             raise ValueError(f"scenario takes at most one --phi, got {len(phis)}")
-        report = SCENARIOS[args.name](args, phis[0] if phis else None)
-        _write(args.out, report.to_csv().encode())
+        report = SCENARIOS[args.name](args, phis[0] if phis else None, times)
+        report.write_csv(args.out)
         return 0 if report.passed else 1
 
     if args.command == "run":
@@ -283,7 +296,7 @@ def run_command(args: argparse.Namespace) -> int:
 
     # average: the parser offers no other command.
     net, inputs = parse_network_config(_read_text(args.net))
-    n, times = net.n_neurons, args.t
+    n = net.n_neurons
     # 2^N columns of N + 3 header bytes ("p_", bits, comma), 2+ ("0,") per time.
     needed = 2**n * (n + 3 + 2 * len(times))
     _check_size(needed, f"average output for {n} neurons at {len(times)} time(s)")
@@ -310,18 +323,18 @@ def run_command(args: argparse.Namespace) -> int:
         values[4 + idx] = np.clip(w @ np.abs(amps) ** 2, 0.0, None)
         return values
 
-    def lines():
-        rows = map(row, times, _averaged_ensembles(net, packets, times, inputs))
-        rows = itertools.chain([next(rows)], rows)  # every input check runs in this first row
+    def numbers(values, cells, columns):
+        cells[:, 0] = _g12(values[columns])
 
-        def numbers(cells, columns):
-            cells[:, 0] = _g12(values[columns])
-
+    def lines(ensembles):
         yield from _chunks(2**n, (1, n + 3), names, line=True)
-        for values in rows:
-            yield from _chunks(len(values), (1, _G12_WIDTH), numbers, line=True)
+        for values in map(row, times, ensembles):
+            fill = functools.partial(numbers, values)
+            yield from _chunks(len(values), (1, _G12_WIDTH), fill, line=True)
 
-    _write(args.out, b"t,trace,purity,entropy_bits,", lines())
+    ensembles = _averaged_ensembles(net, packets, times, inputs)
+    first = next(ensembles)  # runs every input check and the first group's norm check
+    _write(args.out, b"t,trace,purity,entropy_bits,", lines(itertools.chain([first], ensembles)))
     return 0
 
 
@@ -348,8 +361,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=analysis.DEFAULT_SEED)
             p.add_argument("--samples", type=int, default=100)
         if times:
-            p.add_argument("--t", type=parse_float_list, default=(0.0,),
-                           metavar="LIST", help="comma-separated times, e.g. 0,0.5,3.7")
+            p.add_argument("--t", default="0", metavar="LIST",
+                           help="comma-separated times, e.g. 0,0.5,3.7")
         p.add_argument("--out", default=None, metavar="PATH",
                        help="write CSV here instead of stdout")
 

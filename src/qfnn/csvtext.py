@@ -46,10 +46,9 @@ def _chunks(count: int, shape: tuple[int, int], fill: Callable, line: bool = Fal
 
 
 def _write(path: str | None, header: bytes, chunks: Iterable[bytes] = ()) -> None:
-    """Write ``header`` and ``chunks`` to stdout, or to ``path`` opened ``"wb"``.  The target
-    opens once the first chunk is made: an error before that leaves an existing file as it was."""
-    chunks = iter(chunks)
-    parts = itertools.chain((header, next(chunks, b"")), chunks)
+    """Write ``header``, then ``chunks`` as they are made, to stdout or to ``path`` opened
+    ``"wb"`` at once: callers run every check that can refuse their input first."""
+    parts = itertools.chain((header,), chunks)
     if path is None:
         sys.stdout.flush()
         if hasattr(sys.stdout, "buffer"):

@@ -232,10 +232,12 @@ def _averaged_densities(packets: Sequence[WavePacket], times: np.ndarray) -> np.
     Modes are distinct, so d = 0 only for a = b: the flat part of the
     diagonal is sum |c|^2 / 2, and the trace sum |c|^2.  Only the kept pairs are
     built: each mode's partners form one run of the ascending keys, found by binary search.
+    ``times`` is a float64 array the caller has checked against each packet (``_checked_times``).
     """
     sizes = [len(p._values) for p in packets]
     bounds, modes = np.cumsum([0] + sizes), np.concatenate([p._modes for p in packets])
-    c = np.concatenate([p.evolved_coefficients(times) for p in packets], axis=1)
+    energies = np.concatenate([p._energies for p in packets])
+    c = np.concatenate([p._values for p in packets]) * np.exp(-1j * energies * times[..., None])
     # Packets keep their modes sorted, so the keys (packet, n0) + i (n1, n2) ascend: complex
     # values sort lexicographically, and each part is an exact integer below 2^53.
     h = modes[:, :3] - modes[:, :3].min(axis=0)
@@ -297,8 +299,7 @@ def _averaged_ensembles(
     picks = (np.arange(2**m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
     weights = np.prod([lam[j][:, pick] for j, pick in enumerate(picks.T)], axis=0)
     vecs = np.swapaxes(vecs, -1, -2)  # vecs[j, k, i]: eigenvector i of input j at time k
-    rotated = sum(len(targets) for targets, _ in net._plan if targets is not None)
-    per_group = max(1, _ENSEMBLE_AMPS // (2**m * min(2**n, 2**m << rotated)))
+    per_group = max(1, _ENSEMBLE_AMPS // (2**m * min(2**n, 2**m * net._growth)))
     for lo in range(0, len(times), per_group):
         w, rows = weights[lo : lo + per_group], vecs[:, lo : lo + per_group]
         keep = w != 0.0

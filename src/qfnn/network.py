@@ -99,7 +99,8 @@ class NetworkSpec:
     Neurons are numbered 1..N across layers in order, so a (1, 2, 1) network
     has input neuron 1, middle neurons 2 and 3, and output neuron 4.
     Construction also compiles the plan every history runs: a 2^m-entry flip
-    table per boolean step, kron blocks of <= 6 gates per unitary step.
+    table per boolean step, kron blocks of <= 6 gates per unitary step, and
+    ``_growth``, the most the steps can multiply a support by: 2^(unitary targets).
     """
 
     layers: tuple[int, ...]
@@ -140,6 +141,7 @@ class NetworkSpec:
         object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "_plan", tuple(plan))
+        object.__setattr__(self, "_growth", 1 << sum(len(t) for t, _ in plan if t is not None))
 
     @property
     def n_neurons(self) -> int:
@@ -256,15 +258,8 @@ def _evolve(net: NetworkSpec, columns: np.ndarray, inputs: Sequence[int], atol: 
     return idx, amps
 
 
-def _history(net: NetworkSpec, phis: Sequence[GateParams], input_neurons: Sequence[int]):
-    """Support form (idx, amps) of one history's final state, checked finite and normalized."""
-    phis = list(phis)
-    inputs = tuple(input_neurons)
-    if len(phis) != len(inputs):
-        raise ValueError(
-            f"{len(phis)} angle tuples for {len(inputs)} input neurons; counts must match"
-        )
-    inputs = _checked_inputs(inputs, net.n_neurons)
+def _history(net: NetworkSpec, phis: Sequence[GateParams], inputs: tuple[int, ...]):
+    """Support form (idx, amps) of one history, norm-checked; trusts ``run_history``'s checks."""
     columns = np.array([[u2_from_params(phi)[:, 0] for phi in phis]]).reshape(1, -1, 2)
     idx, amps = _evolve(net, columns, inputs)
     return idx, amps[0]
@@ -278,9 +273,14 @@ def run_history(
     """Run one network history and return the final register state.
 
     Every neuron starts quiescent; ``phis[k]`` excites ``input_neurons[k]``;
-    the steps then fire in order.
+    the steps then fire in order.  ``ValueError`` unless the counts match
+    and the input neurons are distinct and in range.
     """
-    idx, amps = _history(net, phis, input_neurons)
+    phis, inputs = list(phis), tuple(input_neurons)
+    if len(phis) != len(inputs):
+        raise ValueError(f"{len(phis)} angle tuples for {len(inputs)} input neurons; "
+                         "counts must match")
+    idx, amps = _history(net, phis, _checked_inputs(inputs, net.n_neurons))
     n = net.n_neurons
     if len(idx) == 1 << n:
         return StateVector._trusted(n, amps)
@@ -384,14 +384,13 @@ def _truth_probabilities(net: NetworkSpec, g: BooleanFunction) -> np.ndarray:
     targeted input neurons, 2^t rows of 2^(m-t) drives each (one row for
     ``boolean_network_for``, one drive per row when every input is
     targeted).  A batch of k rows of c drives starts on k x c branches, at
-    most doubled per unitary target; k^2 x c x 2^rotated x _SUPPORT_SHARE
-    <= _BATCH_AMPS then bounds K x S after every step, whichever form the
-    runner picks.
+    most ``net._growth`` times as many after the steps; k^2 x c x _growth x
+    _SUPPORT_SHARE <= _BATCH_AMPS then bounds K x S after every step,
+    whichever form the runner picks.
     """
     m, n = net.layers
     targeted = {q for step in net.steps for q in step.targets if q <= m}
-    rotated = sum(len(targets) for targets, _ in net._plan if targets is not None)
-    fits = max(1, _BATCH_AMPS // (_SUPPORT_SHARE << rotated))
+    fits = max(1, _BATCH_AMPS // (_SUPPORT_SHARE * net._growth))
     free = _branches(set(range(1, m + 1)) - targeted, m + n)
     width = min(len(free), 1 << (fits.bit_length() - 1))
     rows = max(1, math.isqrt(fits // width))

@@ -26,6 +26,7 @@ from qfnn import (
 )
 from qfnn.analysis import MAX_SAMPLES
 from qfnn.environment import MAX_MODE_COMPONENT, _averaged_ensembles
+from qfnn import network
 from qfnn.network import _history
 from qfnn.cli import (
     SCENARIOS,
@@ -131,6 +132,20 @@ class TestAngleParsing:
         assert parse_float_list("0,0.5,3.7") == (0.0, 0.5, 3.7)
         with pytest.raises(ParseError):
             parse_float_list("a,b")
+        for text in ("0,,1", "0,1,", " ,1"):
+            with pytest.raises(ParseError, match=re.escape(f"empty item in number list {text!r}")):
+                parse_float_list(text)
+
+    @pytest.mark.parametrize("times, message", [("a,b", "bad number list 'a,b'"),
+                                                ("0,,1", "empty item in number list '0,,1'")])
+    @pytest.mark.parametrize("command", [["average"], ["scenario", "averaged-dynamics"]])
+    def test_bad_time_list_is_one_error_line(self, tmp_path, capsys, command, times, message):
+        """Like --phi: no usage text, and no empty item silently dropped."""
+        net = tmp_path / "mirror.net"
+        net.write_text(MIRROR_NET, encoding="utf-8")
+        argv = command + (["--net", str(net)] if command == ["average"] else [])
+        assert main(argv + ["--t", times]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 class TestNetworkConfig:
@@ -160,6 +175,34 @@ class TestNetworkConfig:
     def test_unknown_key_names_the_line(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_network_config("layers = [1, 1]\nwidth = 3\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("layers = [1, 1]\ninputs = [1]\nlayers = [2]\n", "line 3: duplicate key 'layers'"),
+        ("layers = [2, 1]\ninputs = [1]\ninputs = [2]\n", "line 3: duplicate key 'inputs'"),
+        ("layers = [2, 1]\n[step]\nkind = post_unitary\ntargets = [3]\ncontrols = [1]\n"
+         "gate = hadamard\n", "line 5: post_unitary step does not take 'controls'"),
+        (MIRROR_NET + "gate = hadamard\n", "line 10: boolean step does not take 'gate'"),
+        (MIRROR_NET.replace("targets = [2]", "targets = [2]\nweight = 3"),
+         "line 9: boolean step does not take 'weight'"),
+        ("layers = [3, 1]\n[step]\nkind = boolean\ncontrols = [1,,2]\ntargets = [4]\n"
+         "table = 00 -> 0, 01 -> 1, 10 -> 1, 11 -> 0\n", "line 2: empty item in integer list '[1,,2]'"),
+        ("layers = [1, 1,]\n", "line 1: empty item in integer list '[1, 1,]'"),
+    ], ids=["layers-twice", "inputs-twice", "controls-on-a-unitary", "gate-on-a-boolean",
+            "unknown-step-key", "empty-list-item", "trailing-comma"])
+    def test_malformed_config_is_refused_not_reinterpreted(self, text, message, tmp_path, capsys):
+        """Each of these once ran: the last key won, the extra key was dropped (an
+        uncontrolled Hadamard for ``controls``), the empty item was skipped."""
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_network_config(text)
+        net = tmp_path / "bad.net"
+        net.write_text(text, encoding="utf-8")
+        assert main(["run", "--net", str(net), "--phi", "0,0,0,pi"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_inline_table_skips_empty_entries(self):
+        """Like blank lines in a truth-table file."""
+        net, _ = parse_network_config(MIRROR_NET.replace("0 -> 0, 1 -> 1", "0 -> 0,, 1 -> 1,"))
+        assert net.steps[0].function.outputs == (0, 1)
 
     def test_unknown_kind_names_the_step_line(self):
         text = "layers = [1, 1]\n\n[step]\nkind = magic\n"
@@ -693,6 +736,27 @@ class TestStreamedOutput:
         captured = capsys.readouterr()
         assert captured.err == "error: state vector is not normalized: |psi|^2 = 2\n"
         assert captured.out == "t,trace,purity,entropy_bits,p_00,p_01,p_10,p_11\n0,1,0.5,1,0.5,0,0,0.5\n"
+
+    def test_average_failing_its_first_group_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        """``average`` runs and norm-checks its first time group before ``--out`` opens and
+        before any byte reaches stdout."""
+        runner = network._run_steps
+
+        def doubled(idx, amps, net):
+            idx, amps = runner(idx, amps, net)
+            return idx, 2.0 * amps
+
+        monkeypatch.setattr(network, "_run_steps", doubled)
+        net, out = tmp_path / "mirror.net", tmp_path / "kept.csv"
+        net.write_text(MIRROR_NET, encoding="utf-8")
+        out.write_bytes(b"earlier,bytes\n")
+        argv = ["average", "--net", str(net), "--t", "0,0.5"]
+        for extra in (["--out", str(out)], []):
+            assert main(argv + extra) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: state vector is not normalized: |psi|^2 = ")
+            assert captured.out == ""
+        assert out.read_bytes() == b"earlier,bytes\n"
 
     def test_stdout_without_a_byte_buffer_takes_the_same_text(self, tmp_path, capsys):
         """``main`` under ``redirect_stdout`` to a ``StringIO`` (no ``.buffer``) still prints."""

@@ -117,9 +117,20 @@ def test_wide_unitary_step_runs_as_blocks_of_six():
     gates = tuple(u2_from_params(GateParams(*rng.uniform(0.0, 6.28, 4))) for _ in order)
     net = NetworkSpec((8,), (UnitaryStep(gates, order),))
     assert [targets for targets, _ in net._plan] == [(1, 2, 3, 4, 5, 6), (7, 8)]
+    assert net._growth == 2**8
     phis = [GateParams(*rng.uniform(0.0, 6.28, 4)) for _ in range(3)]
     got = run_history(net, phis, (6, 2, 7)).amps
     np.testing.assert_allclose(got, oracle_history(net, phis, (6, 2, 7)), rtol=0, atol=1e-12)
+
+
+def test_support_growth_counts_every_unitary_target_once():
+    """``_growth`` bounds S_out / S_in: a factor 2 per unitary target, none per boolean step."""
+    xor = BooleanFunction.from_output_strings(["0", "1", "1", "0"])
+    steps = (UnitaryStep((HADAMARD,) * 2, (3, 1)), BooleanStep(xor, (1, 2), (3,)),
+             UnitaryStep((HADAMARD,), (3,)))
+    assert NetworkSpec((2, 1), ())._growth == 1
+    assert NetworkSpec((2, 1), steps[1:2])._growth == 1
+    assert NetworkSpec((2, 1), steps)._growth == 2**3
 
 
 @PROPERTY

@@ -191,6 +191,22 @@ def both_ways(argv, out, capsysbinary):
     return printed.decode()
 
 
+def test_write_opens_its_target_before_the_first_chunk(tmp_path):
+    """``_write`` pulls no chunk ahead: the target is open, and the header on its way, before
+    the first chunk is asked for.  Refusing bad input is the caller's job."""
+    out = tmp_path / "o.csv"
+    out.write_bytes(b"earlier,bytes\n")
+
+    def refused():
+        assert out.read_bytes() == b""  # opened "wb" already
+        raise ValueError("refused")
+        yield
+
+    with pytest.raises(ValueError, match="refused"):
+        csvtext._write(str(out), b"h\n", refused())
+    assert out.read_bytes() == b"h\n"
+
+
 def test_chunks_format_each_value_as_the_template_at_every_boundary(monkeypatch):
     values = np.array([LONGEST, -0.0, 0.0, 1e300, 5e-324, -1.0 / 3.0, math.nan, -math.inf] * 4)
     for rows in chunk_sizes(len(values)):

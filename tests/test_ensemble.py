@@ -309,6 +309,21 @@ def test_stacked_times_leave_the_full_form_bit_for_bit():
     assert_equal_to_one_call_per_time(net, packets, times, ensembles)
 
 
+def test_one_phase_check_per_packet_per_pass():
+    """One finiteness check of all times, then one phase-range check per packet; the
+    coefficients evolve without ``evolved_coefficients``, which would check again."""
+    net = NetworkSpec((3, 1), ())
+    rng = np.random.default_rng(5)
+    packets = [random_packet(2, 4, rng) for _ in range(3)]
+    checked = mock.Mock(wraps=environment._checked_times)
+    with mock.patch.object(environment, "_checked_times", checked), mock.patch.object(
+        WavePacket, "evolved_coefficients", side_effect=AssertionError("checked twice")
+    ):
+        ensembles = list(_averaged_ensembles(net, packets, [0.0, 0.5, 3.7]))
+    assert len(ensembles) == 3
+    assert checked.call_count == 1 + len(packets)
+
+
 def test_arguments_are_checked_for_every_time_before_any_runner_call():
     net = NetworkSpec((1, 1), ())
     packet = random_packet(1, 3, np.random.default_rng(3))

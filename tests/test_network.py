@@ -30,6 +30,7 @@ from qfnn import (
     verify_truth_table,
     xor_network,
 )
+from qfnn import network
 
 MIRROR = BooleanFunction.from_output_strings(["0", "1"])
 
@@ -107,13 +108,18 @@ class TestRunHistory:
         start = product_state(u2_from_params(phi)[:, 0].reshape(1, 1, 2), (1,), 4)
         np.testing.assert_allclose(got.amps, run_dense(start, net)[0], atol=1e-14)
 
-    def test_input_validation(self):
+    def test_input_validation(self, monkeypatch):
+        """``network._history`` trusts its arguments, so ``run_history`` refuses them first."""
+        def trusting(*args):
+            raise AssertionError("_history called")
+
+        monkeypatch.setattr(network, "_history", trusting)
         net = boolean_network_for(MIRROR)
-        with pytest.raises(ValueError, match="counts must match"):
+        with pytest.raises(ValueError, match=r"^2 angle tuples for 1 input neurons; counts must match$"):
             run_history(net, [IDENTITY_PARAMS, NOT_PARAMS], (1,))
-        with pytest.raises(ValueError, match="duplicate"):
+        with pytest.raises(ValueError, match=r"^duplicate input neurons: \[1, 1\]$"):
             run_history(net, [IDENTITY_PARAMS, NOT_PARAMS], (1, 1))
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match=r"^input neuron 7 out of range 1..2$"):
             run_history(net, [IDENTITY_PARAMS], (7,))
 
 
