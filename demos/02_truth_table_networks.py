@@ -26,10 +26,10 @@ net = boolean_network_for(adder)
 print(f"network layers {net.layers}, {net.n_neurons} neurons total")
 
 report = verify_truth_table(net, adder)
-for case in report.cases:
+for s, (p, ok) in enumerate(zip(report.probabilities, report.verdicts)):
     print(
-        f"  input {case.input_bits} -> {case.expected_bits}"
-        f"   P = {case.probability:.12f}   {'ok' if case.passed else 'WRONG'}"
+        f"  input {s:0{adder.m}b} -> {adder.outputs[s]:0{adder.n}b}"
+        f"   P = {p:.12f}   {'ok' if ok else 'WRONG'}"
     )
 print("all classical inputs verified:", report.passed)
 

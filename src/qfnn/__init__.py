@@ -15,10 +15,8 @@ from .qstate import (
     DensityMatrix,
     MeasureBasis,
     StateVector,
-    basis_state,
     measure_probabilities,
     reduced_density,
-    tensor,
     von_neumann_entropy,
 )
 from .gates import (
@@ -37,13 +35,11 @@ from .gates import (
 from .boolfn import (
     BooleanFunction,
     format_truth_table,
-    local_map,
     parse_truth_table,
 )
 from .network import (
     BooleanStep,
     NetworkSpec,
-    TruthCase,
     TruthTableReport,
     UnitaryStep,
     boolean_network_for,
@@ -63,7 +59,6 @@ from .environment import (
     eigenfunction,
     energy,
     evaluate_packet,
-    format_packet,
     parse_packet,
     purity,
     random_packet,
@@ -73,7 +68,6 @@ from .analysis import (
     averaged_dynamics_check,
     boolean_mn_check,
     complementarity_check,
-    entanglement_report,
     hadamard_variant_check,
     table1_check,
     table2_check,

@@ -21,9 +21,7 @@ from .network import (
     _amps_at, _evolve, _truth_probabilities, boolean_network_for, complementarity_network,
     hadamard_variant_network, input_layer, run_history, xor_network,
 )
-from .qstate import (
-    StateVector, _plus_minus_weights, measure_probabilities, reduced_density, von_neumann_entropy,
-)
+from .qstate import StateVector, _plus_minus_weights, measure_probabilities
 
 DEFAULT_SEED = 42
 DEFAULT_PHI = GateParams(0.0, 0.0, 0.0, np.pi)
@@ -99,10 +97,6 @@ class ScenarioReport:
         self.observed.extend(_g12(observed).tobytes().decode().split())
         self.tolerances.extend([tol] * len(observed))
         self.verdicts.extend(passed.tolist())
-
-    def counts(self) -> tuple[int, int]:
-        """(passing, total) assertion counts."""
-        return sum(self.verdicts), len(self.verdicts)
 
     def to_csv(self) -> str:
         scenario = _quoted(self.scenario)
@@ -365,11 +359,3 @@ def averaged_dynamics_check(t_values=(0.0, 0.5, 3.7)) -> ScenarioReport:
         report.check("uniform packet is stationary: no drift across times", 0.0, drift, 1e-10)
     return report
 
-
-def entanglement_report(state: StateVector, partition) -> float:
-    """Entanglement entropy, in bits, across a cut of the register.
-
-    ``partition`` lists the neurons on one side of the cut; pure-state
-    entropy is symmetric under swapping the sides.
-    """
-    return von_neumann_entropy(reduced_density(state, partition))

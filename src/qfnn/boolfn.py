@@ -64,18 +64,6 @@ class BooleanFunction:
             raise ValueError("output strings may only contain 0 and 1")
         return cls(count.bit_length() - 1, n, tuple(int(r, 2) for r in rows))
 
-    def value(self, s: int) -> int:
-        """g(s) as an integer."""
-        if not 0 <= int(s) < 2**self.m:
-            raise ValueError(f"input {s} out of range for m={self.m}")
-        return self.outputs[int(s)]
-
-    def value_bits(self, bits: str) -> str:
-        """g applied to a bit string, returned as a bit string."""
-        if len(bits) != self.m or bits.strip("01"):
-            raise ValueError(f"expected an {self.m}-bit input string, got {bits!r}")
-        return format(self.outputs[int(bits, 2)], f"0{self.n}b")
-
     def to_matrix(self) -> np.ndarray:
         """Dense 2^(m+n) permutation matrix of the synaptic gate, controls leading.
 
@@ -85,13 +73,6 @@ class BooleanFunction:
         mat = np.zeros((k.size, k.size), dtype=np.complex128)
         mat[k ^ np.asarray(self.outputs)[k >> self.n], k] = 1.0
         return mat
-
-
-def local_map(g: BooleanFunction, l: int, s: str) -> int:
-    """Component map g_l: the 1-based l-th output bit of g on input ``s``."""
-    if not 1 <= int(l) <= g.n:
-        raise ValueError(f"output component {l} out of range 1..{g.n}")
-    return int(g.value_bits(s)[int(l) - 1])
 
 
 def validate_wiring(n_qubits: int, controls: Sequence[int], targets: Sequence[int]) -> None:

@@ -45,11 +45,27 @@ _RUN_THRESHOLD = 1e-12
 _CSV_BUDGET = 64 << 20
 
 
+def _plain_numbers(tokens, lineno: int | None = None) -> None:
+    """Refuse the digit-group underscores that ``int`` and ``float`` read: ``1_0`` is not 10."""
+    bad = next((tok for tok in tokens if "_" in tok), None)
+    if bad is not None:
+        raise ParseError(f"digit-group underscore in number {bad!r}", line=lineno)
+
+
+def _int(token: str) -> int:
+    _plain_numbers([token])
+    return int(token)
+
+
+_int.__name__ = "int"  # argparse names the type in its error: "invalid int value: '1_0'"
+
+
 def parse_angle(token: str) -> float:
     """One angle in radians; a trailing ``pi`` multiplies, e.g. ``0.5pi``."""
     tok = token.strip().lower()
     if not tok:
         raise ParseError("empty angle token")
+    _plain_numbers([token.strip()])
     if tok.endswith("pi"):
         head = tok[:-2].strip()
         if head in ("", "+"):
@@ -83,6 +99,7 @@ def parse_float_list(text: str) -> tuple[float, ...]:
         raise ParseError("empty number list")
     if not all(parts):
         raise ParseError(f"empty item in number list {text!r}")
+    _plain_numbers(parts)
     try:
         return tuple(float(p) for p in parts)
     except ValueError:
@@ -98,6 +115,7 @@ def _int_list(value: str, lineno: int) -> tuple[int, ...]:
         raise ParseError(f"empty integer list {value!r}", line=lineno)
     if not all(parts):
         raise ParseError(f"empty item in integer list {value!r}", line=lineno)
+    _plain_numbers(parts, lineno)
     try:
         return tuple(int(p) for p in parts)
     except ValueError:
@@ -133,25 +151,25 @@ def _build_step(lines: dict[str, tuple[str, int]], lineno: int):
     for key in _STEP_KEYS[kind]:
         if key not in lines:
             raise ParseError(f"{kind} step is missing {key!r}", line=lineno)
-    fields = {key: value for key, (value, _) in lines.items()}
+    # One key's errors name its own line; an error across keys names the block's.
     if kind == "boolean":
-        controls = _int_list(fields["controls"], lineno)
-        targets = _int_list(fields["targets"], lineno)
-        entries = [e.strip() for e in fields["table"].split(",") if e.strip()]
+        controls, targets = _int_list(*lines["controls"]), _int_list(*lines["targets"])
+        table, line = lines["table"]
+        entries = [e.strip() for e in table.split(",") if e.strip()]
         try:
             g = parse_truth_table("\n".join(entries))
         except ParseError as exc:
-            raise ParseError(f"in inline table: {exc}", line=lineno) from None
+            raise ParseError(f"in inline table: {exc}", line=line) from None
         try:
             return BooleanStep(g, controls, targets)
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno) from None
-    targets = _int_list(fields["targets"], lineno)
+    targets, (name, line) = _int_list(*lines["targets"]), lines["gate"]
     try:
-        gate = fixed_gate(fields["gate"])
-        return UnitaryStep(tuple(gate for _ in targets), targets)
+        gate = fixed_gate(name)
     except ValueError as exc:
-        raise ParseError(str(exc), line=lineno) from None
+        raise ParseError(str(exc), line=line) from None
+    return UnitaryStep((gate,) * len(targets), targets)
 
 
 def parse_network_config(text: str) -> tuple[NetworkSpec, tuple[int, ...]]:
@@ -358,8 +376,8 @@ def _build_parser() -> argparse.ArgumentParser:
                 "0,0,0,0.5pi; repeat the flag for several input neurons",
             )
         if seed:
-            p.add_argument("--seed", type=int, default=analysis.DEFAULT_SEED)
-            p.add_argument("--samples", type=int, default=100)
+            p.add_argument("--seed", type=_int, default=analysis.DEFAULT_SEED)
+            p.add_argument("--samples", type=_int, default=100)
         if times:
             p.add_argument("--t", default="0", metavar="LIST",
                            help="comma-separated times, e.g. 0,0.5,3.7")
@@ -389,7 +407,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--packet", action="append", default=None, metavar="PATH",
         help="packet file per input neuron; defaults to the uniform packet",
     )
-    p_avg.add_argument("--nmax", type=int, default=None, metavar="N",
+    p_avg.add_argument("--nmax", type=_int, default=None, metavar="N",
                        help="drop packet modes with any |component| above N")
     add_common(p_avg, times=True)
     return parser

@@ -40,6 +40,8 @@ MAX_MODE_COMPONENT = 10**6
 _PHASE_LIMIT = 2.0**52
 #: Amplitudes (rows x support bound) of the times that share one runner call: 1 MiB.
 _ENSEMBLE_AMPS = 2**16
+#: Mode pairs x times one pair sum may build: ~77 B each, so about 320 MB.
+_PAIR_TERMS = 2**22
 
 
 def _check_mode(mode) -> ModeIndex:
@@ -153,15 +155,6 @@ class WavePacket:
     def coefficients(self) -> dict[ModeIndex, complex]:
         return {mode: complex(v) for mode, v in zip(self.modes, self._values)}
 
-    def norm_sq(self) -> float:
-        """Sum of |A|^2 over the stored coefficients."""
-        return float(np.vdot(self._values, self._values).real)
-
-    def evolved_coefficients(self, t) -> np.ndarray:
-        """A_n exp(-i |n|^2 t), aligned with ``modes``; one row per time for arrays of t."""
-        t = _checked_times(t, int(self._energies.max()))
-        return self._values * np.exp(-1j * self._energies * t[..., None])
-
     def truncate(self, n_max: int) -> "WavePacket":
         """Drop modes with any |component| above ``n_max`` and renormalize."""
         n_max = int(n_max)
@@ -231,7 +224,8 @@ def _averaged_densities(packets: Sequence[WavePacket], times: np.ndarray) -> np.
     and -cos(phi/4) sin(phi/4) = -sin(phi/2)/2 gives 1 / (2 d3^2 - 1/2).
     Modes are distinct, so d = 0 only for a = b: the flat part of the
     diagonal is sum |c|^2 / 2, and the trace sum |c|^2.  Only the kept pairs are
-    built: each mode's partners form one run of the ascending keys, found by binary search.
+    built: each mode's partners form one run of the ascending keys, found by binary search,
+    and a pass of more than ``_PAIR_TERMS`` pairs x times is refused before any is built.
     ``times`` is a float64 array the caller has checked against each packet (``_checked_times``).
     """
     sizes = [len(p._values) for p in packets]
@@ -248,9 +242,13 @@ def _averaged_densities(packets: Sequence[WavePacket], times: np.ndarray) -> np.
     def pair_sums(shift, term):  # over the pairs (a, b) with key[b] == key[a] + shift
         start = np.searchsorted(key, key + shift, "left")
         counts = np.searchsorted(key, key + shift, "right") - start
+        pairs = int(counts.sum())
+        if pairs * len(times) > _PAIR_TERMS:
+            raise ValueError(f"{pairs} mode pairs at {len(times)} time(s) pass the limit of "
+                             f"{_PAIR_TERMS} pair-terms")
         a = np.repeat(np.arange(len(key)), counts)
         # Within a's run, b counts up from start[a].
-        b = np.arange(counts.sum()) + np.repeat(start - np.cumsum(counts) + counts, counts)
+        b = np.arange(pairs) + np.repeat(start - np.cumsum(counts) + counts, counts)
         terms = term(c[:, a] * c[:, b].conj(), (modes[a, 3] - modes[b, 3]).astype(np.float64))
         cuts = np.searchsorted(a, bounds)
         return np.array([terms[:, i:j].sum(axis=1) for i, j in zip(cuts, cuts[1:])])
@@ -408,15 +406,6 @@ def parse_packet(text: str) -> WavePacket:
     if abs(_norm(values) ** 2 - 1.0) > _NORM_ATOL:  # subnormal inputs keep too few digits
         raise ParseError(f"coefficients are not normalized: sum |A|^2 = {_norm(values) ** 2!r}")
     return WavePacket._trusted(list(coeffs), values)
-
-
-def format_packet(packet: WavePacket) -> str:
-    """Render a packet in the text format ``parse_packet`` reads."""
-    lines = []
-    for mode, value in packet.coefficients.items():
-        n0, n1, n2, n3 = mode
-        lines.append(f"{n0} {n1} {n2} {n3} {value.real!r} {value.imag!r}")
-    return "\n".join(lines) + "\n"
 
 
 def random_packet(

@@ -332,16 +332,6 @@ def boolean_network_for(g: BooleanFunction) -> NetworkSpec:
     return NetworkSpec((g.m, g.n), (BooleanStep(g, controls, targets),))
 
 
-@dataclass(frozen=True)
-class TruthCase:
-    """Outcome of checking one input row: did the expected branch carry all weight?"""
-
-    input_bits: str
-    expected_bits: str
-    probability: float
-    passed: bool
-
-
 @dataclass(frozen=True, eq=False)
 class TruthTableReport:
     """Per-input results of a truth-table verification run: input s puts weight
@@ -358,21 +348,6 @@ class TruthTableReport:
     @property
     def passed(self) -> bool:
         return bool(self.verdicts.all())
-
-    @property
-    def cases(self) -> tuple[TruthCase, ...]:
-        """One ``TruthCase`` per input, built on demand."""
-        return self._cases(range(len(self.probabilities)))
-
-    def failures(self) -> list[TruthCase]:
-        return list(self._cases(np.flatnonzero(~self.verdicts).tolist()))
-
-    def _cases(self, inputs) -> tuple[TruthCase, ...]:
-        g, probs, verdicts = self.function, self.probabilities.tolist(), self.verdicts.tolist()
-        return tuple(
-            TruthCase(format(s, f"0{g.m}b"), format(g.outputs[s], f"0{g.n}b"), probs[s], verdicts[s])
-            for s in inputs
-        )
 
 
 def _truth_probabilities(net: NetworkSpec, g: BooleanFunction) -> np.ndarray:

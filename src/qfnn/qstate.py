@@ -183,35 +183,6 @@ class DensityMatrix:
         return f"DensityMatrix(n_qubits={self._n_qubits})"
 
 
-def basis_state(n_qubits: int, bits: str) -> StateVector:
-    """Computational basis ket from a bit string, e.g. ``basis_state(2, "01")``.
-
-    The string reads neuron 1 first, matching ket notation.
-    """
-    n_qubits = _check_qubit_count(n_qubits)
-    if not isinstance(bits, str):
-        raise ValueError(f"bits must be a string, got {type(bits).__name__}")
-    if len(bits) != n_qubits:
-        raise ValueError(
-            f"bit string {bits!r} has length {len(bits)}, expected {n_qubits}"
-        )
-    if bits.strip("01"):
-        raise ValueError(f"bit string {bits!r} may only contain 0 and 1")
-    amps = np.zeros(2**n_qubits, dtype=np.complex128)
-    amps[int(bits, 2)] = 1.0
-    return StateVector(n_qubits, amps)
-
-
-def tensor(a: StateVector, b: StateVector) -> StateVector:
-    """Tensor product ``a (x) b``; the qubits of ``a`` become the leading ones."""
-    if a.n_qubits + b.n_qubits > MAX_QUBITS:
-        raise ValueError(
-            f"tensor product of {a.n_qubits}+{b.n_qubits} qubits exceeds the cap "
-            f"of {MAX_QUBITS}"
-        )
-    return StateVector(a.n_qubits + b.n_qubits, np.kron(a.amps, b.amps))
-
-
 def reduced_density(state: StateVector, keep: Iterable[int]) -> DensityMatrix:
     """Partial trace of ``|state><state|`` keeping the listed neurons.
 

@@ -4,9 +4,9 @@ Usage, from the root of a checkout::
 
     PYTHONPATH=src python tests/csv_corpus.py OUTDIR    # OUTDIR must not exist yet
 
-The CSVs come from ``qfnn.cli.main`` of whichever ``qfnn`` the path finds, so
-the same script run against two source trees gives two corpora that ``diff -r``
-compares::
+The CSVs come from ``qfnn.cli.main`` of whichever ``qfnn`` the path finds, and
+each demo's stdout from that ``qfnn`` too, so the same script run against two
+source trees gives two corpora that ``diff -r`` compares::
 
     PYTHONPATH=/path/to/base/src python tests/csv_corpus.py /tmp/base
     PYTHONPATH=src python tests/csv_corpus.py /tmp/change
@@ -21,13 +21,18 @@ The corpus holds 99 CSVs:
 * ``run`` and ``average`` on an N=5 and an N=13 net whose last step puts a
   Hadamard on every neuron, so the runner ends in the full form.
 
-``status.txt`` records each call's exit status and whether each bench op
-passed its oracle.  The file name has no ``test_`` prefix, so pytest does not
-collect it.
+Next to them, ``demos/`` holds one transcript per script in the ``demos``
+directory beside this file's own directory: its stdout, byte for byte.  To
+compare each tree's own demos, run each tree's copy of this script.
+``status.txt`` records each call's and each demo's exit status and whether
+each bench op passed its oracle.  The file name has no ``test_`` prefix, so
+pytest does not collect it.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -35,8 +40,11 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
+import qfnn  # noqa: E402
 import workloads  # noqa: E402  (bench/workloads.py, read only)
 from qfnn.cli import SCENARIOS, main  # noqa: E402
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 SEEDS = range(5)
 PHI = "0.3,1.1,2.2,0.7pi"
@@ -89,6 +97,13 @@ def write_corpus(root: Path) -> list[str]:
             packet.write_text(workloads.random_packet(rng, workloads.AVERAGE_MODES)[2])
             packets += ["--packet", packet]
         call(["average", "--net", net, *packets, f"--t={TIMES}", "--out", d / f"average-n{n}.csv"])
+
+    (root / "demos").mkdir()
+    env = dict(os.environ, PYTHONPATH=str(Path(qfnn.__file__).resolve().parents[1]))
+    for demo in sorted(DEMOS.glob("*.py")):
+        proc = subprocess.run([sys.executable, str(demo)], cwd=DEMOS.parent, env=env, capture_output=True)
+        (root / "demos" / f"{demo.stem}.txt").write_bytes(proc.stdout)
+        status.append(f"{proc.returncode} demos/{demo.name}")
     return status
 
 
@@ -98,4 +113,5 @@ if __name__ == "__main__":
     target = Path(sys.argv[1])
     lines = write_corpus(target)
     (target / "status.txt").write_text("\n".join(lines) + "\n")
-    print(f"{sum(1 for _ in target.rglob('*.csv'))} CSVs under {target}")
+    print(f"{sum(1 for _ in target.rglob('*.csv'))} CSVs and "
+          f"{sum(1 for _ in target.rglob('demos/*.txt'))} demo transcripts under {target}")

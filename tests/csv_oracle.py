@@ -29,9 +29,11 @@ def run_csv(net, phis, inputs) -> str:
 
 def verify_csv(net, g) -> str:
     """``qfnn verify``: one row per classical input."""
+    report = verify_truth_table(net, g)
+    rows = zip(report.probabilities.tolist(), report.verdicts.tolist())
     body = "".join(
-        "%s,%s,%.12g,%s\n" % (c.input_bits, c.expected_bits, c.probability, str(c.passed).lower())
-        for c in verify_truth_table(net, g).cases
+        "%s,%s,%.12g,%s\n" % (format(s, f"0{g.m}b"), format(g.outputs[s], f"0{g.n}b"), p, str(ok).lower())
+        for s, (p, ok) in enumerate(rows)
     )
     return "input,expected_output,probability,pass\n" + body
 

@@ -13,9 +13,14 @@ from functools import reduce
 
 import numpy as np
 
-from qfnn import BooleanStep
+from qfnn import BooleanStep, StateVector
 
 BLOCK_TARGETS = 6
+
+
+def basis_state(n_qubits, bits):
+    """Basis ket from a bit string read neuron 1 first, e.g. ``basis_state(2, "01")``."""
+    return StateVector(n_qubits, np.eye(2**n_qubits)[int(bits, 2)])
 
 
 def permutation(step, n_qubits):

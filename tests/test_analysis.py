@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import csv_oracle
 from csv_oracle import numpy_path_verdict
-from dense_oracle import run_dense
+from dense_oracle import basis_state, run_dense
 from qfnn import (
     HADAMARD,
     BooleanFunction,
@@ -24,20 +24,18 @@ from qfnn import (
     UnitaryStep,
     averaged_density,
     averaged_dynamics_check,
-    basis_state,
     boolean_mn_check,
     boolean_network_for,
     complementarity_check,
-    entanglement_report,
     hadamard_variant_check,
     table1_check,
     table2_check,
-    tensor,
     measure_probabilities,
     psi_amplitudes,
     random_packet,
     reduced_density,
     run_history,
+    von_neumann_entropy,
     xor_network,
     xor_reflexivity_check,
 )
@@ -56,7 +54,7 @@ class TestScenarioChecksPass:
     def test_table1(self):
         report = table1_check()
         assert report.passed
-        assert report.counts() == (8, 8)
+        assert len(report.verdicts) == 8
 
     @pytest.mark.parametrize("phi", EDGE_PHIS)
     def test_table2(self, phi):
@@ -79,7 +77,7 @@ class TestScenarioChecksPass:
         report = boolean_mn_check(seed=5, samples=6)
         assert report.passed
         # 16 + 16 exhaustive families, 6 samples, 1 layout record.
-        assert report.counts() == (39, 39)
+        assert len(report.verdicts) == 39
 
     def test_averaged_dynamics(self):
         report = averaged_dynamics_check(t_values=(0.0, 1.25))
@@ -131,13 +129,18 @@ class TestCsvRendering:
         assert path.read_text(encoding="utf-8") == report.to_csv()
 
 
+def entanglement_report(state, partition):
+    """Entanglement entropy, in bits, across the cut that puts ``partition`` on one side."""
+    return von_neumann_entropy(reduced_density(state, partition))
+
+
 class TestEntanglementReport:
     def test_entangled_pair_carries_one_bit(self):
         state = StateVector(2, np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0))
         np.testing.assert_allclose(entanglement_report(state, {1}), 1.0, atol=1e-12)
 
     def test_product_state_carries_nothing(self):
-        state = tensor(basis_state(1, "1"), basis_state(2, "01"))
+        state = basis_state(3, "101")
         assert entanglement_report(state, {1}) <= 1e-12
         assert entanglement_report(state, {2, 3}) <= 1e-12
 

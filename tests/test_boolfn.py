@@ -12,7 +12,6 @@ from qfnn import (
     ParseError,
     boolean_network_for,
     format_truth_table,
-    local_map,
     parse_truth_table,
 )
 from qfnn.network import _run_steps
@@ -27,14 +26,13 @@ def random_function(m, n, rng):
 class TestBooleanFunction:
     def test_basic_lookup(self):
         g = BooleanFunction(2, 1, (0, 1, 1, 0))
-        assert [g.value(s) for s in range(4)] == [0, 1, 1, 0]
-        assert g.value_bits("10") == "1"
+        assert g.outputs == (0, 1, 1, 0)
+        assert format_truth_table(g).splitlines()[2] == "10 -> 1"
 
     def test_from_output_strings(self):
         g = BooleanFunction.from_output_strings(["01", "10"])
         assert (g.m, g.n) == (1, 2)
-        assert g.value_bits("0") == "01"
-        assert g.value_bits("1") == "10"
+        assert g.outputs == (0b01, 0b10)
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError, match="at least 1"):
@@ -56,29 +54,16 @@ class TestBooleanFunction:
                 BooleanFunction(len(outputs).bit_length() - 1, n, outputs)
         assert BooleanFunction(1, 71, (2**70, 2**71 - 1)).outputs == (2**70, 2**71 - 1)
 
-    def test_value_range_checked(self):
-        g = BooleanFunction(1, 1, (0, 1))
-        with pytest.raises(ValueError, match="out of range"):
-            g.value(2)
-        with pytest.raises(ValueError, match="input string"):
-            g.value_bits("00")
-
 
 class TestLocalMap:
+    """The component maps g_l: output bit l of g, read first to last, lands on target l."""
+
     def test_components_of_the_spread_map(self):
         """g(0)=01, g(1)=10: first output bit copies, second inverts."""
         g = BooleanFunction.from_output_strings(["01", "10"])
-        assert local_map(g, 1, "0") == 0
-        assert local_map(g, 1, "1") == 1
-        assert local_map(g, 2, "0") == 1
-        assert local_map(g, 2, "1") == 0
-
-    def test_component_index_is_one_based(self):
-        g = BooleanFunction.from_output_strings(["01", "10"])
-        with pytest.raises(ValueError, match="out of range"):
-            local_map(g, 0, "0")
-        with pytest.raises(ValueError, match="out of range"):
-            local_map(g, 3, "0")
+        images = run(NetworkSpec((1, 2), (BooleanStep(g, (1,), (2, 3)),)), np.eye(8)[[0b000, 0b100]])
+        # Neuron 2 carries g_1 = s and neuron 3 carries g_2 = 1 - s.
+        assert images.argmax(axis=1).tolist() == [0b001, 0b110]
 
 
 def run(net, amps):
@@ -117,7 +102,7 @@ class TestSynapticCompile:
         mat = g.to_matrix()
         for s in range(4):
             column = mat[:, s << 2]
-            assert column[(s << 2) | g.value(s)] == 1.0
+            assert column[(s << 2) | g.outputs[s]] == 1.0
 
     def test_control_bits_never_change(self):
         rng = np.random.default_rng(34)
@@ -190,7 +175,7 @@ class TestApplySynaptic:
                 s |= ((k >> (n - q)) & 1) << (g.m - 1 - j)
             image = k
             for l, q in enumerate(targets):
-                bit = (g.value(s) >> (g.n - 1 - l)) & 1
+                bit = (g.outputs[s] >> (g.n - 1 - l)) & 1
                 image ^= bit << (n - q)
             expected = np.zeros(16)
             expected[image] = 1.0

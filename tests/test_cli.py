@@ -122,6 +122,20 @@ class TestAngleParsing:
             with pytest.raises(ParseError):
                 parse_angle(tok)
 
+    @pytest.mark.parametrize("phi, token", [("1_0,0,0,0", "1_0"), ("0,0,0,0.5_0pi", "0.5_0pi")])
+    def test_digit_group_underscore_in_an_angle_is_one_error_line(self, phi, token, capsys):
+        assert main(["scenario", "table2", "--phi", phi]) == 2
+        assert capsys.readouterr() == ("", f"error: digit-group underscore in number {token!r}\n")
+
+    @pytest.mark.parametrize("argv", [["scenario", "xor", "--seed", "1_0"],
+                                      ["scenario", "xor", "--samples", "1_0"],
+                                      ["average", "--net", "x.net", "--nmax", "1_0"]])
+    def test_integer_flags_refuse_digit_group_underscores(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {argv[-2]}: invalid int value: '1_0'" in capsys.readouterr().err
+
     def test_parse_phi(self):
         phi = parse_phi("0,0,0,0.5pi")
         assert phi.phi3 == pytest.approx(math.pi / 2)
@@ -137,7 +151,8 @@ class TestAngleParsing:
                 parse_float_list(text)
 
     @pytest.mark.parametrize("times, message", [("a,b", "bad number list 'a,b'"),
-                                                ("0,,1", "empty item in number list '0,,1'")])
+                                                ("0,,1", "empty item in number list '0,,1'"),
+                                                ("0,1_0", "digit-group underscore in number '1_0'")])
     @pytest.mark.parametrize("command", [["average"], ["scenario", "averaged-dynamics"]])
     def test_bad_time_list_is_one_error_line(self, tmp_path, capsys, command, times, message):
         """Like --phi: no usage text, and no empty item silently dropped."""
@@ -185,13 +200,26 @@ class TestNetworkConfig:
         (MIRROR_NET.replace("targets = [2]", "targets = [2]\nweight = 3"),
          "line 9: boolean step does not take 'weight'"),
         ("layers = [3, 1]\n[step]\nkind = boolean\ncontrols = [1,,2]\ntargets = [4]\n"
-         "table = 00 -> 0, 01 -> 1, 10 -> 1, 11 -> 0\n", "line 2: empty item in integer list '[1,,2]'"),
+         "table = 00 -> 0, 01 -> 1, 10 -> 1, 11 -> 0\n", "line 4: empty item in integer list '[1,,2]'"),
         ("layers = [1, 1,]\n", "line 1: empty item in integer list '[1, 1,]'"),
+        ("layers = [1_0]\n", "line 1: digit-group underscore in number '1_0'"),
+        (MIRROR_NET.replace("targets = [2]", "targets = [0_2]"),
+         "line 8: digit-group underscore in number '0_2'"),
+        (MIRROR_NET.replace("1 -> 1", "1 -> 2"),
+         "line 9: in inline table: line 2: output '2' is not a binary string"),
+        (HV_NET.replace("gate = hadamard", "gate = magic"),
+         "line 18: unknown gate 'magic'; choose from ['hadamard', 'identity', 'not']"),
+        (MIRROR_NET.replace("controls = [1]", "controls = [1, 2]"),
+         "line 5: step controls [1, 2] do not match arity m=1"),
     ], ids=["layers-twice", "inputs-twice", "controls-on-a-unitary", "gate-on-a-boolean",
-            "unknown-step-key", "empty-list-item", "trailing-comma"])
+            "unknown-step-key", "empty-list-item", "trailing-comma", "underscore-layer",
+            "underscore-target", "table-names-its-line", "gate-names-its-line",
+            "arity-names-the-block"])
     def test_malformed_config_is_refused_not_reinterpreted(self, text, message, tmp_path, capsys):
-        """Each of these once ran: the last key won, the extra key was dropped (an
-        uncontrolled Hadamard for ``controls``), the empty item was skipped."""
+        """Each of these once ran, or named another line: the last key won, the extra key was
+        dropped (an uncontrolled Hadamard for ``controls``), the empty item was skipped,
+        ``1_0`` read as 10.  A value error names its key's line; arity spans keys, so the
+        block's."""
         with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             parse_network_config(text)
         net = tmp_path / "bad.net"

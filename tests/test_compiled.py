@@ -171,7 +171,7 @@ def test_sliced_truth_table_drives_match_one_batch(monkeypatch):
         monkeypatch.setattr(network, "_BATCH_AMPS", budget)
         np.testing.assert_array_equal(verify_truth_table(net, g).probabilities, whole.probabilities)
         assert batches == [(1, drives)] * (16 // drives)
-    assert whole.passed and len(whole.cases) == 16
+    assert whole.passed and len(whole.probabilities) == 16
 
 
 def test_n20_history_peaks_at_three_state_buffers():

@@ -21,7 +21,6 @@ from qfnn import (
     UnitaryStep,
     WavePacket,
     fixed_gate,
-    format_packet,
     format_truth_table,
     parse_packet,
     random_packet,
@@ -29,6 +28,7 @@ from qfnn import (
 from qfnn import csvtext
 from qfnn.cli import main, parse_network_config
 from qfnn.csvtext import _G12_WIDTH, _g12
+from torus_oracle import format_packet
 
 SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e300, -1e300,
             1e-300, -1e-300, 1.0, -1.0, math.inf, -math.inf, math.nan]

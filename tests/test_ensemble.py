@@ -9,6 +9,7 @@ the inputs, and ``qfnn average`` must tabulate the oracle's columns.
 import csv
 import math
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -28,7 +29,6 @@ from qfnn import (
     WavePacket,
     averaged_density,
     averaged_ensemble,
-    format_packet,
     format_truth_table,
     purity,
     random_packet,
@@ -37,7 +37,7 @@ from qfnn import (
 from qfnn import environment, network
 from qfnn.cli import main
 from qfnn.environment import _averaged_ensembles
-from torus_oracle import averaged_qubit_density
+from torus_oracle import averaged_qubit_density, format_packet
 
 PROPERTY = settings(max_examples=30)
 
@@ -225,6 +225,39 @@ def test_average_command_never_builds_a_4n_matrix(tmp_path):
         assert sum(float(p) for p in row[4:]) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_packet_pairs_past_the_budget_exit_two_in_flat_memory(tmp_path, capsys):
+    """2,100 modes that share (n0, n1, n2) pair with each other: 2100^2 pairs in one run,
+    ~340 MB of pair terms, which the sum once built in full before any check."""
+    r = 1.0 / math.sqrt(2100)
+    packet, net = tmp_path / "column.pk", tmp_path / "mirror.net"
+    packet.write_text("".join(f"0 0 0 {n3} {r!r} 0\n" for n3 in range(-1050, 1050)))
+    net.write_text(config_text(NetworkSpec((1, 1), (BooleanStep(BooleanFunction(1, 1, (0, 1)), (1,), (2,)),))))
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code = main(["average", "--net", str(net), "--packet", str(packet)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    assert capsys.readouterr() == (
+        "", f"error: 4410000 mode pairs at 1 time(s) pass the limit of {2**22} pair-terms\n"
+    )
+    assert elapsed < 1.0 and peak < 20 * 2**20, (elapsed, peak)
+
+
+def test_pair_budget_counts_pairs_by_times(monkeypatch):
+    """Four modes of one run: 16 pairs in the wave sum, so 48 pair-terms at three times."""
+    packet = WavePacket({(0, 0, 0, n3): 0.5 for n3 in range(4)})
+    times = np.array([0.0, 0.5, 3.7])
+    monkeypatch.setattr(environment, "_PAIR_TERMS", 48)
+    environment._averaged_densities([packet], times)
+    monkeypatch.setattr(environment, "_PAIR_TERMS", 47)
+    with pytest.raises(ValueError, match=r"^16 mode pairs at 3 time\(s\) pass the limit of 47 pair-terms$"):
+        environment._averaged_densities([packet], times)
+
+
 def test_each_time_group_is_released_before_the_next_runs():
     """Full support at N=16, one time per group, 2 MB of amplitudes each: iterating two
     times peaks as one does.  Kept alive through the next group's run, the first group
@@ -310,15 +343,12 @@ def test_stacked_times_leave_the_full_form_bit_for_bit():
 
 
 def test_one_phase_check_per_packet_per_pass():
-    """One finiteness check of all times, then one phase-range check per packet; the
-    coefficients evolve without ``evolved_coefficients``, which would check again."""
+    """One finiteness check of all times, then one phase-range check per packet."""
     net = NetworkSpec((3, 1), ())
     rng = np.random.default_rng(5)
     packets = [random_packet(2, 4, rng) for _ in range(3)]
     checked = mock.Mock(wraps=environment._checked_times)
-    with mock.patch.object(environment, "_checked_times", checked), mock.patch.object(
-        WavePacket, "evolved_coefficients", side_effect=AssertionError("checked twice")
-    ):
+    with mock.patch.object(environment, "_checked_times", checked):
         ensembles = list(_averaged_ensembles(net, packets, [0.0, 0.5, 3.7]))
     assert len(ensembles) == 3
     assert checked.call_count == 1 + len(packets)

@@ -22,7 +22,6 @@ from qfnn import (
     eigenfunction,
     energy,
     evaluate_packet,
-    format_packet,
     parse_packet,
     purity,
     random_packet,
@@ -32,10 +31,13 @@ from qfnn import (
 from qfnn.environment import MAX_MODE_COMPONENT
 from torus_oracle import (
     averaged_qubit_density,
+    evolved_coefficients,
     exact_density,
+    format_packet,
     gauss_legendre,
     grid_density,
     midpoint,
+    norm_sq,
     packet_values,
 )
 
@@ -120,20 +122,22 @@ class TestWavePacket:
         p = WavePacket({(0, 0, 0, 0): 0.6, (4, 0, 0, 0): 0.8})
         q = p.truncate(2)
         assert q.modes == [(0, 0, 0, 0)]
-        np.testing.assert_allclose(q.norm_sq(), 1.0, atol=1e-12)
+        np.testing.assert_allclose(norm_sq(q), 1.0, atol=1e-12)
         with pytest.raises(ValueError, match="survive"):
             WavePacket.single_mode((1, 0, 0, 0)).truncate(0)
         with pytest.raises(ValueError, match="non-negative"):
             p.truncate(-1)
 
     def test_evolution_only_rotates_phases(self):
+        """Psi(phi, t) is the packet whose A_n are turned by exp(-i |n|^2 t), a unit packet too."""
         rng = np.random.default_rng(52)
         p = random_packet(3, 12, rng)
         before = p.coefficients
-        evolved = p.evolved_coefficients(1.7)
-        np.testing.assert_allclose(np.abs(evolved), np.abs(p.evolved_coefficients(0.0)), atol=1e-15)
+        turned = WavePacket(dict(zip(p.modes, evolved_coefficients(p, 1.7))))
+        for phi in rng.uniform(0.0, 2.0 * np.pi, (5, 4)):
+            assert evaluate_packet(p, phi, 1.7) == pytest.approx(evaluate_packet(turned, phi), abs=1e-15)
         assert p.coefficients == before
-        assert p.norm_sq() == pytest.approx(1.0, abs=1e-12)
+        assert averaged_qubit_density(p, 1.7).trace() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestEvaluatePacket:
@@ -322,11 +326,10 @@ PAST_THE_PHASE = (
 @pytest.mark.parametrize(
     "call",
     [
-        lambda p, t: p.evolved_coefficients(t),
         lambda p, t: evaluate_packet(p, (0.0,) * 4, t),
         lambda p, t: averaged_ensemble(boolean_network_for(MIRROR), [p], t),
     ],
-    ids=["evolved_coefficients", "evaluate_packet", "averaged_ensemble"],
+    ids=["evaluate_packet", "averaged_ensemble"],
 )
 @pytest.mark.parametrize(
     "t, message",
@@ -336,7 +339,7 @@ PAST_THE_PHASE = (
 )
 def test_every_time_entry_refuses_a_phase_without_digits(call, t, message):
     """A non-finite t gave nan, and |n|^2 |t| >= 2^52 a unit-modulus value with no digit of
-    the phase, from the two packet calls; every entry now shares the ensemble's check."""
+    the phase, from ``evaluate_packet``; both entries now share the ensemble's check."""
     r = 1.0 / math.sqrt(2.0)
     packet = WavePacket({(0, 0, 0, 0): r, (0, 0, 0, 1): r})
     with pytest.raises(ValueError) as exc:
@@ -395,7 +398,7 @@ class TestExactAverage:
         r = 1.0 / math.sqrt(3.0)
         packet = WavePacket({(-5, -4, 2, 0): r, (-5, -3, 3, 2): r * 1j, (7, 9, -8, 1): -r})
         rho = averaged_qubit_density(packet, 1.1)
-        c = packet.evolved_coefficients(1.1)
+        c = evolved_coefficients(packet, 1.1)
         # Only (-5, -4, 2, 0) -> (-5, -3, 3, 2) couples: d3 = -2.
         assert rho[0, 1] == pytest.approx(c[0] * np.conj(c[1]) / (2 * np.pi * 7.5), abs=1e-15)
 
@@ -516,7 +519,7 @@ class TestPacketText:
     def test_renormalizes_with_warning_when_norm_is_off(self):
         with pytest.warns(UserWarning, match="renormalizing"):
             p = parse_packet("0 0 0 0 1 0\n1 0 0 0 1 0\n")
-        np.testing.assert_allclose(p.norm_sq(), 1.0, atol=1e-12)
+        np.testing.assert_allclose(norm_sq(p), 1.0, atol=1e-12)
 
     def test_small_drift_renormalized_silently(self):
         r = 1.0 / math.sqrt(2.0)
@@ -524,7 +527,7 @@ class TestPacketText:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             p = parse_packet(text)
-        np.testing.assert_allclose(p.norm_sq(), 1.0, atol=1e-14)
+        np.testing.assert_allclose(norm_sq(p), 1.0, atol=1e-14)
 
     def test_errors_carry_line_numbers(self):
         with pytest.raises(ParseError, match="line 1"):
@@ -567,7 +570,7 @@ class TestRandomPacket:
         assert p.truncation == 2
         assert all(max(abs(k) for k in m) <= 2 for m in p.modes)
         assert len(p.modes) == 20
-        np.testing.assert_allclose(p.norm_sq(), 1.0, atol=1e-12)
+        np.testing.assert_allclose(norm_sq(p), 1.0, atol=1e-12)
 
     def test_rejects_impossible_requests(self):
         with pytest.raises(ValueError, match="n_modes"):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dense_oracle import basis_state
 from qfnn import (
     GateParams,
     HADAMARD,
@@ -13,7 +14,6 @@ from qfnn import (
     NOT_PARAMS,
     NetworkSpec,
     UnitaryStep,
-    basis_state,
     fixed_gate,
     is_unitary,
     psi_amplitudes,

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dense_oracle import permutation, product_state, run_dense
+from dense_oracle import basis_state, permutation, product_state, run_dense
 from qfnn import (
     BooleanFunction,
     BooleanStep,
@@ -16,7 +16,6 @@ from qfnn import (
     NetworkSpec,
     UnitaryStep,
     WavePacket,
-    basis_state,
     boolean_network_for,
     branch_amplitudes,
     complementarity_network,
@@ -172,7 +171,7 @@ class TestBooleanNetworkFor:
             g = BooleanFunction.from_output_strings(list(rows))
             report = verify_truth_table(boolean_network_for(g), g)
             assert report.passed
-            assert not report.failures()
+            assert report.verdicts.all()
 
     def test_verify_rejects_mismatched_network(self):
         g2 = BooleanFunction(2, 1, (0, 1, 1, 0))
@@ -184,7 +183,7 @@ class TestBooleanNetworkFor:
         inverter = BooleanFunction.from_output_strings(["1", "0"])
         report = verify_truth_table(boolean_network_for(inverter), MIRROR)
         assert not report.passed
-        assert {c.input_bits for c in report.failures()} == {"0", "1"}
+        assert np.flatnonzero(~report.verdicts).tolist() == [0, 1]
 
 
 class TestCanonicalNetworks:

@@ -7,15 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_oracle import basis_state
 from qfnn import (
     DensityMatrix,
     MAX_QUBITS,
     MeasureBasis,
+    NOT_PARAMS,
+    NetworkSpec,
     StateVector,
-    basis_state,
+    branch_amplitudes,
     measure_probabilities,
     reduced_density,
-    tensor,
+    run_history,
     von_neumann_entropy,
 )
 from qfnn.gates import HADAMARD, GateParams, u2_from_params
@@ -30,9 +33,8 @@ def random_state(n, rng):
 class TestStateVector:
     def test_basis_state_places_amplitude_msb_first(self):
         """Index order matches ket notation: |01> is index 1, |10> index 2."""
-        assert basis_state(2, "01").amps[1] == 1.0
-        assert basis_state(2, "10").amps[2] == 1.0
-        assert basis_state(4, "0011").amps[3] == 1.0
+        for n, k, bits in ((2, 1, "01"), (2, 2, "10"), (4, 3, "0011")):
+            assert branch_amplitudes(StateVector(n, np.eye(2**n)[k])) == [(bits, 1.0)]
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="not normalized"):
@@ -54,13 +56,7 @@ class TestStateVector:
 
     def test_rejects_register_beyond_cap(self):
         with pytest.raises(ValueError, match="cap"):
-            basis_state(MAX_QUBITS + 1, "0" * (MAX_QUBITS + 1))
-
-    def test_rejects_bad_bit_strings(self):
-        with pytest.raises(ValueError, match="length"):
-            basis_state(2, "0")
-        with pytest.raises(ValueError, match="0 and 1"):
-            basis_state(2, "0x")
+            StateVector(MAX_QUBITS + 1, [1.0])
 
     def test_amps_are_read_only(self):
         state = basis_state(2, "00")
@@ -75,30 +71,29 @@ class TestStateVector:
 
 
 class TestTensor:
+    """A history starts as the tensor product of its input columns and |0> elsewhere."""
+
     def test_excited_neuron_with_quiescent_one(self):
         """U(0,0,0,pi)|0> (x) |0> has amplitudes (cos pi/4, 0, -sin pi/4, 0)."""
-        phi = GateParams(0.0, 0.0, 0.0, np.pi)
-        left = StateVector(1, u2_from_params(phi)[:, 0])
-        state = tensor(left, basis_state(1, "0"))
+        state = run_history(NetworkSpec((1, 1), ()), [GateParams(0.0, 0.0, 0.0, np.pi)], (1,))
         expected = [np.cos(np.pi / 4), 0.0, -np.sin(np.pi / 4), 0.0]
         np.testing.assert_allclose(state.amps, expected, atol=1e-15)
 
     def test_qubit_counts_add(self):
-        state = tensor(basis_state(2, "01"), basis_state(3, "100"))
+        state = run_history(NetworkSpec((2, 3), ()), [NOT_PARAMS, NOT_PARAMS], (2, 3))
         assert state.n_qubits == 5
-        assert state.amps[0b01100] == 1.0
+        np.testing.assert_allclose(abs(state.amps[0b01100]), 1.0, atol=1e-15)
 
     def test_matches_kron_of_amplitudes(self):
         rng = np.random.default_rng(12)
-        a, b = random_state(2, rng), random_state(2, rng)
-        np.testing.assert_allclose(
-            tensor(a, b).amps, np.kron(a.amps, b.amps), atol=1e-15
-        )
+        phis = [GateParams(*rng.uniform(0.0, 2.0 * np.pi, 4)) for _ in range(4)]
+        state = run_history(NetworkSpec((2, 2), ()), phis, (1, 2, 3, 4))
+        columns = [u2_from_params(phi)[:, 0] for phi in phis]
+        np.testing.assert_allclose(state.amps, reduce(np.kron, columns), atol=1e-15)
 
     def test_cap_applies_to_product(self):
-        a = basis_state(13, "0" * 13)
         with pytest.raises(ValueError, match="cap"):
-            tensor(a, a)
+            NetworkSpec((13, 13), ())
 
 
 def naive_reduced(state, keep):

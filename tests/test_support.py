@@ -227,12 +227,12 @@ def test_truth_table_probabilities_match_the_dense_oracle(name, m, n, rotate, wr
         net = NetworkSpec(net.layers, net.steps + (UnitaryStep((HADAMARD,), (m + n,)),))
     with form(name):
         report = verify_truth_table(net, g)
-    for s, case in enumerate(report.cases):
+    for s, (probability, passed) in enumerate(zip(report.probabilities, report.verdicts)):
         columns = np.array([[1.0, 0.0] if (s >> (m - 1 - j)) & 1 == 0 else [0.0, 1.0] for j in range(m)])
         amps = run_dense(product_state(columns[None], range(1, m + 1), m + n), net)[0]
         expected = abs(amps[(s << n) | g.outputs[s]]) ** 2
-        assert case.probability == pytest.approx(expected, abs=1e-12)
-        assert case.passed == (abs(case.probability - 1.0) <= report.tolerance)
+        assert probability == pytest.approx(expected, abs=1e-12)
+        assert passed == (abs(probability - 1.0) <= report.tolerance)
 
 
 @st.composite
@@ -346,7 +346,7 @@ def test_wide_tables_run_in_batches_under_the_default_budget():
         assert [[len(row) for row in rows] for _, rows in batches] == widths
         assert all(k * s <= network._BATCH_AMPS for (k, s), _ in batches), batches
         # Each rotated neuron spreads a drive evenly over its two values.
-        np.testing.assert_allclose([c.probability for c in report.cases], 2.0**-spread, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(report.probabilities, 2.0**-spread, rtol=0, atol=1e-12)
 
 
 def layered(layers, seed):

@@ -9,12 +9,17 @@ explicit nodes:
 * on axis 3 the quarter-angle response adds half-integer frequencies, which
   the midpoint rule gets wrong by O(P^-2), while ``gauss_legendre`` nodes
   converge to rounding for the low frequencies of small packets.
+
+The oracles read a packet only through its public ``coefficients`` and
+``energy(mode)``: ``evolved_coefficients`` turns each coefficient by its own
+eigenphase.
 """
 
 import math
 
 import numpy as np
 
+from qfnn import energy
 from qfnn.environment import _averaged_densities
 
 TWO_PI = 2.0 * math.pi
@@ -31,10 +36,27 @@ def gauss_legendre(points):
     return math.pi * (x + 1.0), math.pi * w
 
 
+def evolved_coefficients(packet, t):
+    """A_n exp(-i |n|^2 t), aligned with ``packet.modes``."""
+    return np.array([a * np.exp(-1j * energy(n) * t) for n, a in packet.coefficients.items()])
+
+
+def norm_sq(packet):
+    """Sum of |A_n|^2 over the packet's coefficients."""
+    return sum(abs(a) ** 2 for a in packet.coefficients.values())
+
+
+def format_packet(packet):
+    """A packet in the text format ``parse_packet`` reads: ``n0 n1 n2 n3 re im`` per mode."""
+    return "".join(
+        f"{n0} {n1} {n2} {n3} {a.real!r} {a.imag!r}\n" for (n0, n1, n2, n3), a in packet.coefficients.items()
+    )
+
+
 def packet_values(packet, axes, t):
     """Psi(phi, t) on the product of four node arrays, axis k = angle k."""
     out = np.zeros(tuple(len(a) for a in axes), dtype=np.complex128)
-    coeffs = packet.evolved_coefficients(t) / (4.0 * math.pi**2)
+    coeffs = evolved_coefficients(packet, t) / (4.0 * math.pi**2)
     for mode, c in zip(packet.modes, coeffs):
         factors = [np.exp(1j * k * a) for k, a in zip(mode, axes)]
         out += c * np.einsum("a,b,c,d->abcd", *factors)
