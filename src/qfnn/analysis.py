@@ -28,6 +28,8 @@ DEFAULT_PHI = GateParams(0.0, 0.0, 0.0, np.pi)
 #: Largest ``samples`` for the sampled scenarios: ~0.1 s of ``xor`` and ~1 s
 #: of ``boolean-mn`` on one core, checked before any sample runs.
 MAX_SAMPLES = 100_000
+#: Most ``averaged-dynamics`` times: each of its 6T + 1 rows names every time (23 MB at 1,000).
+MAX_TIMES = 1_000
 #: Most functions of one family in one network: b <= 12 address inputs keep
 #: the (3, 3) family at 18 neurons, under the 24-neuron cap.
 _FAMILY_FUNCTIONS = 2**12
@@ -40,11 +42,11 @@ _SCALARS = (int, float, complex, np.number)
 QUARTER_ANGLE_MARGINAL = 0.5
 
 
-def _capped(samples: int) -> int:
-    samples = int(samples)
-    if samples > MAX_SAMPLES:
-        raise ValueError(f"samples must be at most {MAX_SAMPLES}, got {samples}")
-    return samples
+def _capped(count: int, cap: int = MAX_SAMPLES, what: str = "samples") -> int:
+    count = int(count)
+    if count > cap:
+        raise ValueError(f"{what} must be at most {cap}, got {count}")
+    return count
 
 
 @dataclass
@@ -321,6 +323,7 @@ def averaged_dynamics_check(t_values=(0.0, 0.5, 3.7)) -> ScenarioReport:
     t_values = [float(t) for t in t_values]
     if not t_values:
         raise ValueError("need at least one time value")
+    _capped(len(t_values), MAX_TIMES, "number of times")
     g = BooleanFunction.from_output_strings(["0", "1"])
     net = boolean_network_for(g)
     packet = WavePacket.uniform()

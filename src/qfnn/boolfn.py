@@ -13,11 +13,11 @@ relabelling, and ``BooleanFunction.to_matrix`` spells it out densely.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, _lines
 
 
 @dataclass(frozen=True)
@@ -128,42 +128,33 @@ def parse_truth_table(text: str) -> BooleanFunction:
     Blank lines and ``#`` comments are ignored.  Every input string must
     appear exactly once and all widths must agree.
     """
-    if not isinstance(text, str):
-        raise ParseError(f"expected text, got {type(text).__name__}")
+    return _truth_table(_lines(text))
+
+
+def _truth_table(lines: Iterable[tuple[int, str]]) -> BooleanFunction:
+    """The table of ``(line number, stripped non-empty row)`` pairs; errors name the number."""
     rows: list[tuple[int, str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in lines:
         if "->" not in line:
             raise ParseError(f"expected 'input -> output', got {line!r}", line=lineno)
         left, _, right = line.partition("->")
         inp, out = left.strip(), right.strip()
         for part, which in ((inp, "input"), (out, "output")):
             if not part or part.strip("01"):
-                raise ParseError(
-                    f"{which} {part!r} is not a binary string", line=lineno
-                )
+                raise ParseError(f"{which} {part!r} is not a binary string", line=lineno)
         rows.append((lineno, inp, out))
     if not rows:
         raise ParseError("truth table is empty")
-    m = len(rows[0][1])
-    n = len(rows[0][2])
+    m, n = len(rows[0][1]), len(rows[0][2])
     if len(rows) != 2**m:
-        raise ParseError(
-            f"expected {2**m} rows for {m}-bit inputs, got {len(rows)}",
-            line=rows[-1][0],
-        )
+        raise ParseError(f"expected {2**m} rows for {m}-bit inputs, got {len(rows)}",
+                         line=rows[-1][0])
     outputs = []
     for s, (lineno, inp, out) in enumerate(rows):
         if len(inp) != m:
-            raise ParseError(
-                f"input width {len(inp)} differs from first row ({m})", line=lineno
-            )
+            raise ParseError(f"input width {len(inp)} differs from first row ({m})", line=lineno)
         if len(out) != n:
-            raise ParseError(
-                f"output width {len(out)} differs from first row ({n})", line=lineno
-            )
+            raise ParseError(f"output width {len(out)} differs from first row ({n})", line=lineno)
         if int(inp, 2) != s:
             raise ParseError(
                 f"inputs must appear in ascending order; expected "

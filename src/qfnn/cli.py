@@ -27,10 +27,10 @@ from typing import Callable
 import numpy as np
 
 from . import analysis
-from .boolfn import parse_truth_table
+from .boolfn import _truth_table, parse_truth_table
 from .csvtext import _G12_WIDTH, _chunks, _g12, _write
 from .environment import WavePacket, _averaged_ensembles, parse_packet
-from .errors import ParseError
+from .errors import ParseError, _lines, _number_list, _plain_numbers
 from .gates import GateParams, fixed_gate
 from .network import (
     BooleanStep, NetworkSpec, UnitaryStep, _bit_digits, _branch_rows, _checked_inputs, _history,
@@ -43,13 +43,6 @@ _RUN_THRESHOLD = 1e-12
 #: any formatting: the file can be larger (full-support ``run`` at N=21: 54.5 MB
 #: counted, 88 MB written). Memory is bounded by the writer's chunk, not by this.
 _CSV_BUDGET = 64 << 20
-
-
-def _plain_numbers(tokens, lineno: int | None = None) -> None:
-    """Refuse the digit-group underscores that ``int`` and ``float`` read: ``1_0`` is not 10."""
-    bad = next((tok for tok in tokens if "_" in tok), None)
-    if bad is not None:
-        raise ParseError(f"digit-group underscore in number {bad!r}", line=lineno)
 
 
 def _int(token: str) -> int:
@@ -66,20 +59,11 @@ def parse_angle(token: str) -> float:
     if not tok:
         raise ParseError("empty angle token")
     _plain_numbers([token.strip()])
-    if tok.endswith("pi"):
-        head = tok[:-2].strip()
-        if head in ("", "+"):
-            factor = 1.0
-        elif head == "-":
-            factor = -1.0
-        else:
-            try:
-                factor = float(head)
-            except ValueError:
-                raise ParseError(f"bad angle token {token!r}") from None
-        return factor * math.pi
+    head, factor = (tok[:-2].strip(), math.pi) if tok.endswith("pi") else (tok, 1.0)
+    if factor == math.pi and head in ("", "+", "-"):
+        head += "1"
     try:
-        return float(tok)
+        return float(head) * factor
     except ValueError:
         raise ParseError(f"bad angle token {token!r}") from None
 
@@ -94,32 +78,14 @@ def parse_phi(text: str) -> GateParams:
 
 def parse_float_list(text: str) -> tuple[float, ...]:
     """Comma-separated reals, e.g. ``0,0.5,3.7``; an empty item is refused."""
-    parts = [p.strip() for p in text.split(",")]
-    if not any(parts):
-        raise ParseError("empty number list")
-    if not all(parts):
-        raise ParseError(f"empty item in number list {text!r}")
-    _plain_numbers(parts)
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError:
-        raise ParseError(f"bad number list {text!r}") from None
+    return _number_list(text, float, "number")
 
 
 def _int_list(value: str, lineno: int) -> tuple[int, ...]:
     inner = value.strip()
     if inner.startswith("[") and inner.endswith("]"):
         inner = inner[1:-1]
-    parts = [p.strip() for p in inner.split(",")]
-    if not any(parts):
-        raise ParseError(f"empty integer list {value!r}", line=lineno)
-    if not all(parts):
-        raise ParseError(f"empty item in integer list {value!r}", line=lineno)
-    _plain_numbers(parts, lineno)
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError:
-        raise ParseError(f"bad integer list {value!r}", line=lineno) from None
+    return _number_list(inner, int, "integer", lineno, shown=value)
 
 
 def _split_kv(line: str, lineno: int) -> tuple[str, str]:
@@ -157,7 +123,7 @@ def _build_step(lines: dict[str, tuple[str, int]], lineno: int):
         table, line = lines["table"]
         entries = [e.strip() for e in table.split(",") if e.strip()]
         try:
-            g = parse_truth_table("\n".join(entries))
+            g = _truth_table(enumerate(entries, 1))
         except ParseError as exc:
             raise ParseError(f"in inline table: {exc}", line=line) from None
         try:
@@ -194,8 +160,6 @@ def parse_network_config(text: str) -> tuple[NetworkSpec, tuple[int, ...]]:
     Each step kind takes exactly the keys shown.  A repeated key, a key the kind does
     not take and an empty list item are each a ``ParseError`` that names the line.
     """
-    if not isinstance(text, str):
-        raise ParseError(f"expected text, got {type(text).__name__}")
     top: dict[str, tuple[int, ...]] = {}
     steps = []
     current: dict | None = None
@@ -207,10 +171,7 @@ def parse_network_config(text: str) -> tuple[NetworkSpec, tuple[int, ...]]:
             steps.append(_build_step(current, current_line))
             current = None
 
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _lines(text):
         if line.lower() == "[step]":
             flush()
             current = {}

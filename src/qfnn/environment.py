@@ -20,7 +20,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, _lines, _plain_numbers
 from .gates import GateParams
 from .network import NetworkSpec, _checked_inputs, _evolve
 from .qstate import _EIG_FLOOR, DensityMatrix
@@ -208,7 +208,7 @@ def evaluate_packet(packet: WavePacket, phi, t: float = 0.0) -> complex:
     return complex(np.sum(packet._values * np.exp(1j * phases)) / _FOUR_PI_SQ)
 
 
-def _averaged_densities(packets: Sequence[WavePacket], times: np.ndarray) -> np.ndarray:
+def _averaged_densities(packets: Sequence[WavePacket], times: np.ndarray, inputs) -> np.ndarray:
     """Exact averages of the excited-neuron projector over |Psi(phi, t)|^2: (inputs, times, 2, 2).
 
     The gate response of a quiescent neuron is the pure state
@@ -225,7 +225,8 @@ def _averaged_densities(packets: Sequence[WavePacket], times: np.ndarray) -> np.
     Modes are distinct, so d = 0 only for a = b: the flat part of the
     diagonal is sum |c|^2 / 2, and the trace sum |c|^2.  Only the kept pairs are
     built: each mode's partners form one run of the ascending keys, found by binary search,
-    and a pass of more than ``_PAIR_TERMS`` pairs x times is refused before any is built.
+    and a pass of more than ``_PAIR_TERMS`` pairs x times is refused before any is built,
+    naming the input neuron (of ``inputs``, one per packet) whose packet holds the most.
     ``times`` is a float64 array the caller has checked against each packet (``_checked_times``).
     """
     sizes = [len(p._values) for p in packets]
@@ -244,7 +245,10 @@ def _averaged_densities(packets: Sequence[WavePacket], times: np.ndarray) -> np.
         counts = np.searchsorted(key, key + shift, "right") - start
         pairs = int(counts.sum())
         if pairs * len(times) > _PAIR_TERMS:
-            raise ValueError(f"{pairs} mode pairs at {len(times)} time(s) pass the limit of "
+            per_packet = np.add.reduceat(counts, bounds[:-1])
+            j = int(per_packet.argmax())
+            raise ValueError(f"input neuron {inputs[j]}: {per_packet[j]} of the {pairs} mode "
+                             f"pairs; at {len(times)} time(s) they pass the limit of "
                              f"{_PAIR_TERMS} pair-terms")
         a = np.repeat(np.arange(len(key)), counts)
         # Within a's run, b counts up from start[a].
@@ -284,7 +288,7 @@ def _averaged_ensembles(
     inputs = _checked_inputs(inputs, n)
     for q, p in zip(inputs, packets):
         _checked_times(times, int(p._energies.max()), f"input neuron {q}: ")
-    rho = _averaged_densities(packets, times)
+    rho = _averaged_densities(packets, times, inputs)
     # Packets hold unit norm, so each trace, sum |c|^2, is 1 within ~1e-12.
     lam, vecs = np.linalg.eigh(rho / (rho[..., :1, :1].real + rho[..., 1:, 1:].real))
     if not (lam[..., 0] >= _EIG_FLOOR).all():
@@ -364,18 +368,14 @@ def parse_packet(text: str) -> WavePacket:
     renormalized on load; a warning is emitted when the stored norm deviates
     from 1 by more than 1e-6.
     """
-    if not isinstance(text, str):
-        raise ParseError(f"expected text, got {type(text).__name__}")
     coeffs: dict[ModeIndex, complex] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _lines(text):
         parts = line.split()
         if len(parts) != 6:
             raise ParseError(
                 f"expected 'n0 n1 n2 n3 re im' (6 fields), got {len(parts)}", line=lineno
             )
+        _plain_numbers(parts, lineno)
         try:
             mode = tuple(map(int, parts[:4]))
         except ValueError:

@@ -24,7 +24,7 @@ from qfnn import (
     branch_amplitudes,
     run_history,
 )
-from qfnn.analysis import MAX_SAMPLES
+from qfnn.analysis import MAX_SAMPLES, MAX_TIMES
 from qfnn.environment import MAX_MODE_COMPONENT, _averaged_ensembles
 from qfnn import network
 from qfnn.network import _history
@@ -344,6 +344,26 @@ class TestScenarioCommand:
             f"error: samples must be at most {MAX_SAMPLES}, got 100000000000000000000\n"
         )
         assert captured.out == ""
+
+    def test_times_above_the_cap_exit_two_before_any_work(self, capsys, monkeypatch):
+        """Every one of the 6T + 1 rows names all T times: 30,000 times, one ~200 KB argument,
+        once built ~21 GB of CSV text in memory."""
+        monkeypatch.setattr("qfnn.analysis._averaged_ensembles", lambda *a: pytest.fail("ran"))
+        times = ",".join(f"{k * 1e-3:g}" for k in range(30_000))
+        start = time.perf_counter()
+        code = main(["scenario", "averaged-dynamics", "--t", times])
+        elapsed = time.perf_counter() - start
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", f"error: number of times must be at most {MAX_TIMES}, got 30000\n"
+        )
+        assert elapsed < 1.0, elapsed
+
+    def test_times_cap_is_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr("qfnn.analysis.MAX_TIMES", 3)
+        assert main(["scenario", "averaged-dynamics", "--t", "0,0.5,3.7"]) == 0
+        assert main(["scenario", "averaged-dynamics", "--t", "0,0.5,3.7,4"]) == 2
+        assert capsys.readouterr().err == "error: number of times must be at most 3, got 4\n"
 
     def test_averaged_dynamics_with_times_and_grid(self, capsys):
         """Times are taken; the average is exact, so a --grid flag no longer exists."""

@@ -242,7 +242,8 @@ def test_packet_pairs_past_the_budget_exit_two_in_flat_memory(tmp_path, capsys):
     elapsed = time.perf_counter() - start
     assert code == 2
     assert capsys.readouterr() == (
-        "", f"error: 4410000 mode pairs at 1 time(s) pass the limit of {2**22} pair-terms\n"
+        "", "error: input neuron 1: 4410000 of the 4410000 mode pairs; at 1 time(s) they pass "
+        f"the limit of {2**22} pair-terms\n"
     )
     assert elapsed < 1.0 and peak < 20 * 2**20, (elapsed, peak)
 
@@ -252,10 +253,27 @@ def test_pair_budget_counts_pairs_by_times(monkeypatch):
     packet = WavePacket({(0, 0, 0, n3): 0.5 for n3 in range(4)})
     times = np.array([0.0, 0.5, 3.7])
     monkeypatch.setattr(environment, "_PAIR_TERMS", 48)
-    environment._averaged_densities([packet], times)
+    environment._averaged_densities([packet], times, (1,))
     monkeypatch.setattr(environment, "_PAIR_TERMS", 47)
-    with pytest.raises(ValueError, match=r"^16 mode pairs at 3 time\(s\) pass the limit of 47 pair-terms$"):
-        environment._averaged_densities([packet], times)
+    message = r"^input neuron 1: 16 of the 16 mode pairs; at 3 time\(s\) they pass the limit of 47 pair-terms$"
+    with pytest.raises(ValueError, match=message):
+        environment._averaged_densities([packet], times, (1,))
+
+
+def test_pair_limit_names_the_input_neuron_whose_packet_holds_the_most_pairs(tmp_path, capsys):
+    """Two inputs, the second packet the large one: the error names input neuron 2, though the
+    limit counts the pairs of both packets."""
+    r = 1.0 / math.sqrt(2100)
+    small, large, net = tmp_path / "small.pk", tmp_path / "column.pk", tmp_path / "pair.net"
+    small.write_text("0 0 0 0 0.6 0\n0 0 0 1 0.8 0\n")
+    large.write_text("".join(f"0 0 0 {n3} {r!r} 0\n" for n3 in range(-1050, 1050)))
+    net.write_text("layers = [2, 1]\n")
+    argv = ["average", "--net", str(net), "--packet", str(small), "--packet", str(large)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "", "error: input neuron 2: 4410000 of the 4410004 mode pairs; at 1 time(s) they pass "
+        f"the limit of {2**22} pair-terms\n"
+    )
 
 
 def test_each_time_group_is_released_before_the_next_runs():

@@ -96,4 +96,4 @@ def exact_density(packet, t):
 
 def averaged_qubit_density(packet, t):
     """The package's closed-form 2x2 average of one packet at one time, under test."""
-    return _averaged_densities([packet], np.array([float(t)]))[0, 0]
+    return _averaged_densities([packet], np.array([float(t)]), (1,))[0, 0]
