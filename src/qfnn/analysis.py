@@ -16,6 +16,7 @@ import numpy as np
 from .boolfn import BooleanFunction
 from .csvtext import _cell, _g12, _quoted, _write
 from .environment import WavePacket, _averaged_ensembles, _density, purity
+from .errors import _integer
 from .gates import GateParams, _response_columns, psi_amplitudes
 from .network import (
     _amps_at, _evolve, _truth_probabilities, boolean_network_for, complementarity_network,
@@ -43,7 +44,7 @@ QUARTER_ANGLE_MARGINAL = 0.5
 
 
 def _capped(count: int, cap: int = MAX_SAMPLES, what: str = "samples") -> int:
-    count = int(count)
+    count = _integer(count, what)
     if count > cap:
         raise ValueError(f"{what} must be at most {cap}, got {count}")
     return count
@@ -221,7 +222,7 @@ def xor_reflexivity_check(samples: int = 100, seed: int = DEFAULT_SEED) -> Scena
     output neuron fires with certainty for every angle tuple; the branch
     amplitudes stay exactly the single-neuron response amplitudes.
     """
-    samples = _capped(samples)
+    samples, seed = _capped(samples), _integer(seed, "seed", 0)
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples}")
     # One row per sample: the same stream as one draw of size 4 per sample.
@@ -274,7 +275,7 @@ def boolean_mn_check(seed: int = DEFAULT_SEED, samples: int = 50) -> ScenarioRep
     data inputs, the constant 0 on unused addresses.  Its classical drives
     are exactly the (a, x) pairs, and g_a's row reads the worst of its 2^m.
     """
-    samples = _capped(samples)
+    samples, seed = _capped(samples), _integer(seed, "seed", 0)
     if samples < 0:
         raise ValueError(f"samples must be non-negative, got {samples}")
     # One (samples, 8) draw: the same stream as one draw of size 8 per sample.

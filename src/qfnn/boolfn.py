@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ParseError, _lines
+from .errors import ParseError, _integer, _lines
 
 
 @dataclass(frozen=True)
@@ -33,12 +33,14 @@ class BooleanFunction:
     outputs: tuple[int, ...]
 
     def __post_init__(self):
-        m, n = int(self.m), int(self.n)
+        m, n = _integer(self.m, "m"), _integer(self.n, "n")
         if m < 1 or n < 1:
             raise ValueError(f"arities must be at least 1, got m={m}, n={n}")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n)
-        outs = tuple(map(int, self.outputs))
+        outs = tuple(self.outputs)
+        if not {int}.issuperset(map(type, outs)):  # one C-level pass over plain ints
+            outs = tuple(_integer(v, f"output for input {s}") for s, v in enumerate(outs))
         if len(outs) != 2**m:
             raise ValueError(f"need {2**m} outputs for m={m}, got {len(outs)}")
         # One pass over the extremes, exact for any int; the loop only names the culprit.
@@ -73,20 +75,6 @@ class BooleanFunction:
         mat = np.zeros((k.size, k.size), dtype=np.complex128)
         mat[k ^ np.asarray(self.outputs)[k >> self.n], k] = 1.0
         return mat
-
-
-def validate_wiring(n_qubits: int, controls: Sequence[int], targets: Sequence[int]) -> None:
-    """Check 1-based control/target neuron indices against an ``n_qubits`` register."""
-    for q in (*controls, *targets):
-        if not 1 <= q <= n_qubits:
-            raise ValueError(f"neuron index {q} out of range 1..{n_qubits}")
-    if len(set(controls)) != len(controls):
-        raise ValueError(f"duplicate control indices: {list(controls)}")
-    if len(set(targets)) != len(targets):
-        raise ValueError(f"duplicate target indices: {list(targets)}")
-    overlap = set(controls) & set(targets)
-    if overlap:
-        raise ValueError(f"controls and targets overlap on {sorted(overlap)}")
 
 
 def _flip_table(

@@ -30,10 +30,10 @@ from . import analysis
 from .boolfn import _truth_table, parse_truth_table
 from .csvtext import _G12_WIDTH, _chunks, _g12, _write
 from .environment import WavePacket, _averaged_ensembles, parse_packet
-from .errors import ParseError, _lines, _number_list, _plain_numbers
+from .errors import ParseError, _lines, _neurons, _number_list, _plain_numbers
 from .gates import GateParams, fixed_gate
 from .network import (
-    BooleanStep, NetworkSpec, UnitaryStep, _bit_digits, _branch_rows, _checked_inputs, _history,
+    BooleanStep, NetworkSpec, UnitaryStep, _bit_digits, _branch_rows, _history,
     input_layer, verify_truth_table,
 )
 from .qstate import _entropy_bits
@@ -195,7 +195,7 @@ def parse_network_config(text: str) -> tuple[NetworkSpec, tuple[int, ...]]:
         net = NetworkSpec(top["layers"], tuple(steps))
         if "inputs" not in top:
             return net, input_layer(net)
-        return net, _checked_inputs(top["inputs"], net.n_neurons)
+        return net, _neurons(top["inputs"], net.n_neurons, "input neuron")
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 

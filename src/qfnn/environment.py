@@ -20,9 +20,9 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ParseError, _lines, _plain_numbers
+from .errors import ParseError, _integer, _lines, _neurons, _plain_numbers
 from .gates import GateParams
-from .network import NetworkSpec, _checked_inputs, _evolve
+from .network import NetworkSpec, _evolve
 from .qstate import _EIG_FLOOR, DensityMatrix
 
 ModeIndex = tuple[int, int, int, int]
@@ -51,12 +51,7 @@ def _check_mode(mode) -> ModeIndex:
         raise ValueError(f"mode index must be a 4-tuple of integers, got {mode!r}")
     if len(parts) != 4:
         raise ValueError(f"mode index needs 4 components, got {len(parts)}")
-    out = []
-    for k in parts:
-        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-            raise ValueError(f"mode component {k!r} is not an integer")
-        out.append(int(k))
-    return tuple(out)
+    return tuple(_integer(k, "mode component") for k in parts)
 
 
 def _norm(values) -> float:
@@ -124,7 +119,7 @@ class WavePacket:
         if abs(norm * norm - 1.0) > _NORM_ATOL:
             raise ValueError(f"coefficients are not normalized: sum |A|^2 = {norm * norm!r}")
         WavePacket._trusted(modes, values, self)
-        cap = self._truncation if truncation is None else int(truncation)
+        cap = self._truncation if truncation is None else _integer(truncation, "truncation")
         if cap < self._truncation:
             raise ValueError(f"mode components reach {self._truncation}, beyond truncation {cap}")
         self._truncation = cap
@@ -157,7 +152,7 @@ class WavePacket:
 
     def truncate(self, n_max: int) -> "WavePacket":
         """Drop modes with any |component| above ``n_max`` and renormalize."""
-        n_max = int(n_max)
+        n_max = _integer(n_max, "truncation")
         if n_max < 0:
             raise ValueError(f"truncation must be non-negative, got {n_max}")
         kept = {
@@ -285,7 +280,7 @@ def _averaged_ensembles(
         raise ValueError(
             f"{len(packets)} packets for {len(inputs)} input neurons; counts must match"
         )
-    inputs = _checked_inputs(inputs, n)
+    inputs = _neurons(inputs, n, "input neuron")
     for q, p in zip(inputs, packets):
         _checked_times(times, int(p._energies.max()), f"input neuron {q}: ")
     rho = _averaged_densities(packets, times, inputs)
@@ -418,12 +413,12 @@ def random_packet(
     Handy for property tests and demos; pass a seeded ``rng`` for
     reproducibility.
     """
-    truncation = int(truncation)
+    truncation = _integer(truncation, "truncation")
     if truncation < 0:
         raise ValueError(f"truncation must be non-negative, got {truncation}")
     side = 2 * truncation + 1
     lattice = side**4
-    n_modes = int(n_modes)
+    n_modes = _integer(n_modes, "n_modes")
     if not 1 <= n_modes <= lattice:
         raise ValueError(
             f"n_modes must be in 1..{lattice} for truncation {truncation}, got {n_modes}"

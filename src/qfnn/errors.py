@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the grammar every input file shares."""
+"""Shared exception types, the grammar of every input file and the rule for integer arguments."""
 
+import operator
 from typing import Callable, Iterator
 
 
@@ -19,10 +20,12 @@ class ParseError(ValueError):
 
 def _lines(text: str) -> Iterator[tuple[int, str]]:
     """(1-based number, line) of each line of ``text`` that holds more than a ``#`` comment,
-    stripped.  Lines break at ``\\n``, ``\\r\\n`` and ``\\r`` only, as ``open()`` reads them: a
-    form feed or U+2028 neither ends a line nor shifts a later line's number."""
+    stripped, past one leading byte-order mark.  Lines break at ``\\n``, ``\\r\\n`` and ``\\r``
+    only, as ``open()`` reads them: a form feed or U+2028 neither ends a line nor shifts a later
+    line's number."""
     if not isinstance(text, str):
         raise ParseError(f"expected text, got {type(text).__name__}")
+    text = text.removeprefix("\ufeff")
     for lineno, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), 1):
         line = raw.split("#", 1)[0].strip()
         if line:
@@ -50,3 +53,29 @@ def _number_list(items: str, number: Callable, noun: str, lineno=None, shown=Non
         return tuple(map(number, parts))
     except ValueError:
         raise ParseError(f"bad {noun} list {quoted}", line=lineno) from None
+
+
+def _integer(value, what: str, low: int | None = None) -> int:
+    """``value`` as an int under ``operator.index``: ints and numpy integers pass, while
+    ``bool``, floats (3.0 too) and strings raise ``ValueError`` naming ``what``, as does a
+    value below ``low`` (``None`` or 0)."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or isinstance(value, bool) or (low is not None and number < low):
+        kind = "an integer" if low is None else "a non-negative integer"
+        raise ValueError(f"{what} must be {kind}, got {value!r}")
+    return number
+
+
+def _neurons(indices, n: int, what: str, plural: str | None = None) -> tuple[int, ...]:
+    """``indices`` as ints by ``_integer``, each in 1..``n`` and all distinct; errors name
+    one index as ``what`` and the list as ``plural`` (default ``what`` + "s")."""
+    neurons = tuple(_integer(q, what) for q in indices)
+    for q in neurons:
+        if not 1 <= q <= n:
+            raise ValueError(f"{what} {q} out of range 1..{n}")
+    if len(set(neurons)) != len(neurons):
+        raise ValueError(f"duplicate {plural or what + 's'}: {list(neurons)}")
+    return neurons

@@ -17,7 +17,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .boolfn import BooleanFunction, _flip_table, _xor_permutation, validate_wiring
+from .boolfn import BooleanFunction, _flip_table, _xor_permutation
+from .errors import _integer, _neurons
 from .gates import GateParams, HADAMARD, is_unitary, u2_from_params
 from .qstate import _NORM_ATOL, MAX_QUBITS, StateVector, _check_unit_norm
 
@@ -48,8 +49,8 @@ class BooleanStep:
             raise ValueError(
                 f"function must be a BooleanFunction, got {type(self.function).__name__}"
             )
-        object.__setattr__(self, "controls", tuple(int(q) for q in self.controls))
-        object.__setattr__(self, "targets", tuple(int(q) for q in self.targets))
+        object.__setattr__(self, "controls", tuple(_integer(q, "control index") for q in self.controls))
+        object.__setattr__(self, "targets", tuple(_integer(q, "target index") for q in self.targets))
         if len(self.controls) != self.function.m:
             raise ValueError(
                 f"step controls {list(self.controls)} do not match arity m={self.function.m}"
@@ -69,7 +70,7 @@ class UnitaryStep:
 
     def __post_init__(self):
         gates = tuple(np.asarray(g, dtype=np.complex128) for g in self.gates)
-        targets = tuple(int(q) for q in self.targets)
+        targets = tuple(_integer(q, "target index") for q in self.targets)
         if len(gates) != len(targets):
             raise ValueError(
                 f"{len(gates)} gates for {len(targets)} targets; counts must match"
@@ -107,7 +108,7 @@ class NetworkSpec:
     steps: tuple[Step, ...]
 
     def __post_init__(self):
-        layers = tuple(int(w) for w in self.layers)
+        layers = tuple(_integer(w, "layer width") for w in self.layers)
         if not layers or any(w < 1 for w in layers):
             raise ValueError(f"layer widths must be positive, got {list(layers)}")
         total = sum(layers)
@@ -125,7 +126,11 @@ class NetworkSpec:
                 )
             controls = step.controls if isinstance(step, BooleanStep) else ()
             try:
-                validate_wiring(total, controls, step.targets)
+                _neurons(controls, total, "neuron index", "control indices")
+                _neurons(step.targets, total, "neuron index", "target indices")
+                overlap = set(controls) & set(step.targets)
+                if overlap:
+                    raise ValueError(f"controls and targets overlap on {sorted(overlap)}")
             except ValueError as exc:
                 raise ValueError(f"step {i}: {exc}") from None
             if isinstance(step, BooleanStep):
@@ -151,17 +156,6 @@ class NetworkSpec:
 def input_layer(net: NetworkSpec) -> tuple[int, ...]:
     """Neuron indices of the first layer, the conventional input register."""
     return tuple(range(1, net.layers[0] + 1))
-
-
-def _checked_inputs(input_neurons: Sequence[int], n_neurons: int) -> tuple[int, ...]:
-    """Input neuron indices as ints, checked distinct and in range 1..n_neurons."""
-    inputs = tuple(int(q) for q in input_neurons)
-    if len(set(inputs)) != len(inputs):
-        raise ValueError(f"duplicate input neurons: {list(inputs)}")
-    for q in inputs:
-        if not 1 <= q <= n_neurons:
-            raise ValueError(f"input neuron {q} out of range 1..{n_neurons}")
-    return inputs
 
 
 def _branches(neurons: Sequence[int], n: int) -> np.ndarray:
@@ -280,7 +274,7 @@ def run_history(
     if len(phis) != len(inputs):
         raise ValueError(f"{len(phis)} angle tuples for {len(inputs)} input neurons; "
                          "counts must match")
-    idx, amps = _history(net, phis, _checked_inputs(inputs, net.n_neurons))
+    idx, amps = _history(net, phis, _neurons(inputs, net.n_neurons, "input neuron"))
     n = net.n_neurons
     if len(idx) == 1 << n:
         return StateVector._trusted(n, amps)

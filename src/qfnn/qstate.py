@@ -14,6 +14,8 @@ from typing import Iterable
 
 import numpy as np
 
+from .errors import _integer, _neurons
+
 # A StateVector holds 2**n complex amplitudes; this cap keeps a typo
 # from asking for petabytes.  Raise it deliberately if you have the memory.
 MAX_QUBITS = 24
@@ -32,7 +34,7 @@ class MeasureBasis(Enum):
 
 
 def _check_qubit_count(n_qubits: int) -> int:
-    n_qubits = int(n_qubits)
+    n_qubits = _integer(n_qubits, "n_qubits")
     if n_qubits < 1:
         raise ValueError(f"need at least one qubit, got {n_qubits}")
     if n_qubits > MAX_QUBITS:
@@ -51,15 +53,6 @@ def _check_unit_norm(amps: np.ndarray, atol: float = _NORM_ATOL) -> None:
     if not np.all(np.isfinite(amps)):
         raise ValueError("amplitudes must be finite")
     raise ValueError(f"state vector is not normalized: |psi|^2 = {float(norm_sq[dev.argmax()])!r}")
-
-
-def _bit_shift(n_qubits: int, qubit: int) -> int:
-    """Shift that extracts 1-based ``qubit`` from a basis index (MSB-first)."""
-    if not isinstance(qubit, (int, np.integer)):
-        raise ValueError(f"qubit index must be an integer, got {qubit!r}")
-    if not 1 <= qubit <= n_qubits:
-        raise ValueError(f"qubit index {qubit} out of range 1..{n_qubits}")
-    return n_qubits - int(qubit)
 
 
 class StateVector:
@@ -189,15 +182,11 @@ def reduced_density(state: StateVector, keep: Iterable[int]) -> DensityMatrix:
     ``keep`` holds distinct 1-based indices; the result orders the kept
     neurons ascending.  Tracing out everything (empty ``keep``) is rejected.
     """
-    keep_list = list(keep)
-    if not keep_list:
-        raise ValueError("keep must name at least one qubit")
-    if len(set(keep_list)) != len(keep_list):
-        raise ValueError(f"keep contains duplicate indices: {keep_list}")
     n = state.n_qubits
-    for q in keep_list:
-        _bit_shift(n, q)  # range check
-    kept_axes = [q - 1 for q in sorted(keep_list)]
+    keep = _neurons(keep, n, "qubit index", "qubit indices")
+    if not keep:
+        raise ValueError("keep must name at least one qubit")
+    kept_axes = [q - 1 for q in sorted(keep)]
     traced_axes = [ax for ax in range(n) if ax not in kept_axes]
     psi = state.amps.reshape([2] * n)
     psi = np.transpose(psi, kept_axes + traced_axes)
@@ -227,14 +216,14 @@ def measure_probabilities(
     the non-firing branch |0>; in the plus/minus basis ``p0`` is the weight of
     |+> and ``p1`` the weight of |->.
     """
-    shift = _bit_shift(state.n_qubits, qubit)
+    (qubit,) = _neurons((qubit,), state.n_qubits, "qubit index")
     if not isinstance(basis, MeasureBasis):
         raise ValueError(f"basis must be a MeasureBasis, got {basis!r}")
     if basis is MeasureBasis.PLUS_MINUS:
         plus, minus = _plus_minus_weights(state.amps, state.n_qubits, qubit)
         return float(plus.sum()), float(minus.sum())
     probs = state.probabilities()
-    bit = (np.arange(probs.size) >> shift) & 1
+    bit = (np.arange(probs.size) >> (state.n_qubits - qubit)) & 1
     p0 = float(probs[bit == 0].sum())
     p1 = float(probs[bit == 1].sum())
     return p0, p1

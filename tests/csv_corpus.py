@@ -141,6 +141,7 @@ BAD_FLAGS = {
                     "--packet", "ERRORS/average/renormalized.txt"],
     "times-cap": ["scenario", "averaged-dynamics", "--t", ",".join(["0"] * 1001)],
     "seed-underscore": ["scenario", "xor", "--seed", "1_0"],
+    "seed-negative": ["scenario", "xor", "--seed", "-1"],
     "samples-underscore": ["scenario", "xor", "--samples", "1_0"],
     "samples-cap": ["scenario", "xor", "--samples", "100000000000000000000"],
     "nmax-underscore": ["average", "--net", "ERRORS/mirror.net", "--nmax", "1_0"],

@@ -345,6 +345,12 @@ class TestScenarioCommand:
         )
         assert captured.out == ""
 
+    @pytest.mark.parametrize("name", ["xor", "boolean-mn"])
+    def test_a_negative_seed_exits_two_naming_the_flag(self, name, capsys):
+        """numpy refused it with ``error: expected non-negative integer``, naming no flag."""
+        assert main(["scenario", name, "--seed", "-1"]) == 2
+        assert capsys.readouterr() == ("", "error: seed must be a non-negative integer, got -1\n")
+
     def test_times_above_the_cap_exit_two_before_any_work(self, capsys, monkeypatch):
         """Every one of the 6T + 1 rows names all T times: 30,000 times, one ~200 KB argument,
         once built ~21 GB of CSV text in memory."""

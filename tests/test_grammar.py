@@ -1,5 +1,5 @@
 """The grammar the three input files share: line breaks, ``#`` comments, blank lines, line
-numbers and number tokens.
+numbers, number tokens and a leading byte-order mark.
 
 Each file format is driven with the same noise, so a rule that one parser reads differently
 from the others shows up as a changed result or a shifted line number.
@@ -119,3 +119,29 @@ def test_packet_numbers_refuse_digit_group_underscores(text, token, tmp_path, ca
     packet.write_text(text)
     assert main(["average", "--net", str(net), "--packet", str(packet)]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+#: format name -> (``qfnn`` arguments, with FILE for the file under test, and that file's text).
+CALLS = {
+    "config": (["run", "--net", "FILE", "--phi", "0,0,0,pi", "--phi", "0,0,0,0.5pi"], CONFIG),
+    "truth table": (["verify", "--net", "XOR", "--fn", "FILE"], TRUTH_TABLE),
+    "packet": (["average", "--net", "XOR", "--packet", "FILE", "--packet", "FILE", "--t", "0,0.5"],
+               PACKET),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_a_byte_order_mark_reads_as_the_same_file(name, tmp_path):
+    """A config saved with a BOM once exited 2: ``unknown top-level key '\\ufefflayers'``."""
+    argv, text = CALLS[name]
+    xor = tmp_path / "xor.net"
+    xor.write_text(CONFIG[: CONFIG.rindex("[step]")])
+    outputs = []
+    for encoding in ("utf-8", "utf-8-sig"):
+        path, out = tmp_path / f"{encoding}.txt", tmp_path / f"{encoding}.csv"
+        path.write_bytes(text.encode(encoding))
+        args = [{"FILE": str(path), "XOR": str(xor)}.get(arg, arg) for arg in argv]
+        assert main([*args, "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert outputs[0] == outputs[1]
