@@ -56,6 +56,9 @@ class BooleanFunction:
         ``from_output_strings(["0", "1", "1", "0"])`` is XOR on two inputs.
         """
         rows = list(rows)
+        bad = next((i for i, r in enumerate(rows) if not isinstance(r, str)), None)
+        if bad is not None:
+            raise ValueError(f"output string {bad} must be a str, got {type(rows[bad]).__name__}")
         count = len(rows)
         if count < 2 or count & (count - 1):
             raise ValueError(f"row count must be a power of two >= 2, got {count}")

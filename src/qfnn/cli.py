@@ -285,11 +285,6 @@ def run_command(args: argparse.Namespace) -> int:
         packets = [WavePacket.uniform() for _ in inputs]
     if args.nmax is not None:
         packets = [p.truncate(args.nmax) for p in packets]
-    if len(packets) != len(inputs):
-        raise ValueError(
-            f"need {len(inputs)} packets for input neurons {list(inputs)}, "
-            f"got {len(packets)}"
-        )
 
     def names(cells, columns):  # "p_", the bits, a free byte
         cells[:, 0, :2] = ord("p"), ord("_")

@@ -125,8 +125,9 @@ class WavePacket:
         self._truncation = cap
 
     @classmethod
-    def _trusted(cls, modes, values, packet=None) -> "WavePacket":
-        """Fill ``packet`` (default: a new one) from modes and values that pass ``__init__``."""
+    def _trusted(cls, modes, values, packet=None, truncation=None) -> "WavePacket":
+        """Fill ``packet`` (default: a new one) from modes and values that pass ``__init__``;
+        ``truncation`` (default: the largest |component|) must bound the modes."""
         packet = cls.__new__(cls) if packet is None else packet
         modes = np.array(modes, dtype=np.int64).reshape(-1, 4)
         order = np.lexsort(modes.T[::-1])  # lexicographic, n0 first
@@ -134,7 +135,7 @@ class WavePacket:
         packet._energies = (packet._modes * packet._modes).sum(axis=1)
         for arr in (packet._modes, packet._values, packet._energies):
             arr.setflags(write=False)
-        packet._truncation = int(np.abs(modes).max())
+        packet._truncation = int(np.abs(modes).max()) if truncation is None else truncation
         return packet
 
     @property
@@ -155,15 +156,15 @@ class WavePacket:
         n_max = _integer(n_max, "truncation")
         if n_max < 0:
             raise ValueError(f"truncation must be non-negative, got {n_max}")
-        kept = {
-            mode: value
-            for mode, value in self.coefficients.items()
-            if max(abs(k) for k in mode) <= n_max
-        }
-        if not kept:
+        keep = np.abs(self._modes).max(axis=1) <= n_max
+        kept = self._values[keep].tolist()
+        norm = _norm(kept)
+        if norm == 0.0:  # no mode, or only modes of zero weight
             raise ValueError(f"no modes survive truncation to {n_max}")
-        norm = _norm(kept.values())
-        return WavePacket({m: v / norm for m, v in kept.items()}, truncation=n_max)
+        values = [v / norm for v in kept]
+        if abs(_norm(values) ** 2 - 1.0) > _NORM_ATOL:  # subnormal survivors keep too few digits
+            raise ValueError(f"coefficients are not normalized: sum |A|^2 = {_norm(values) ** 2!r}")
+        return WavePacket._trusted(self._modes[keep], values, truncation=n_max)
 
     @classmethod
     def uniform(cls) -> "WavePacket":
@@ -275,12 +276,12 @@ def _averaged_ensembles(
         if not isinstance(p, WavePacket):
             raise ValueError(f"packets must be WavePacket instances, got {type(p).__name__}")
     n = net.n_neurons
-    inputs = tuple(range(1, len(packets) + 1) if input_neurons is None else input_neurons)
+    inputs = range(1, len(packets) + 1) if input_neurons is None else input_neurons
+    inputs = _neurons(inputs, n, "input neuron")
     if len(packets) != len(inputs):
         raise ValueError(
-            f"{len(packets)} packets for {len(inputs)} input neurons; counts must match"
+            f"need {len(inputs)} packets for input neurons {list(inputs)}, got {len(packets)}"
         )
-    inputs = _neurons(inputs, n, "input neuron")
     for q, p in zip(inputs, packets):
         _checked_times(times, int(p._energies.max()), f"input neuron {q}: ")
     rho = _averaged_densities(packets, times, inputs)
@@ -416,6 +417,8 @@ def random_packet(
     truncation = _integer(truncation, "truncation")
     if truncation < 0:
         raise ValueError(f"truncation must be non-negative, got {truncation}")
+    if truncation > 27553:  # past it, the (2T + 1)^4 lattice overflows rng.choice's int64
+        raise ValueError(f"truncation must be at most 27553, got {truncation}")
     side = 2 * truncation + 1
     lattice = side**4
     n_modes = _integer(n_modes, "n_modes")
@@ -426,12 +429,7 @@ def random_packet(
     if rng is None:
         rng = np.random.default_rng()
     flat = rng.choice(lattice, size=n_modes, replace=False)
-    modes = [
-        tuple(int(k) - truncation for k in np.unravel_index(f, (side,) * 4))
-        for f in flat
-    ]
+    modes = np.stack(np.unravel_index(flat, (side,) * 4), axis=1) - truncation
     values = rng.normal(size=n_modes) + 1j * rng.normal(size=n_modes)
     values /= np.linalg.norm(values)
-    return WavePacket(
-        {m: complex(v) for m, v in zip(modes, values)}, truncation=truncation
-    )
+    return WavePacket._trusted(modes, values, truncation=truncation)

@@ -24,11 +24,6 @@ from .qstate import _NORM_ATOL, MAX_QUBITS, StateVector, _check_unit_norm
 
 _BLOCK_TARGETS = 6  # targets per kron block of a unitary step: blocks stay <= 64x64
 _BATCH_AMPS = 2**22  # amplitudes (64 MB) per batch of classical truth-table drives
-# Full form up to this many amplitudes over all rows.  Measured on one core
-# of a 2-vCPU x86 machine, whole histories of small layered nets: at N=4 the
-# support form costs ~6 us more (58 against 52 us); from 2^10 amplitudes on
-# it is as fast or faster (N=10, K=16: 394 against 565 us).
-_DENSE_AMPS = 2**10
 # Full form once a step's support would cover 1/4 of the register: at N=18,
 # 4 shuffled boolean steps take 6.8 against 10.0 ms at S = 1/8 of it and
 # 10.8 against 8.4 ms at 1/4, and a 6-target block on the leading neurons
@@ -69,7 +64,9 @@ class UnitaryStep:
     targets: tuple[int, ...]
 
     def __post_init__(self):
-        gates = tuple(np.asarray(g, dtype=np.complex128) for g in self.gates)
+        gates = tuple(self.gates)
+        # One copy per distinct gate object: ``gate = hadamard`` on k targets is one gate.
+        copies = {id(g): np.array(g, dtype=np.complex128) for g in gates}
         targets = tuple(_integer(q, "target index") for q in self.targets)
         if len(gates) != len(targets):
             raise ValueError(
@@ -77,16 +74,15 @@ class UnitaryStep:
             )
         if not gates:
             raise ValueError("unitary step needs at least one target")
-        frozen = []
         for g, q in zip(gates, targets):
-            if g.shape != (2, 2):
-                raise ValueError(f"gate for neuron {q} must be 2x2, got {g.shape}")
-            if not is_unitary(g, atol=1e-12):
-                raise ValueError(f"gate for neuron {q} is not unitary")
-            g = g.copy()
-            g.setflags(write=False)
-            frozen.append(g)
-        object.__setattr__(self, "gates", tuple(frozen))
+            g = copies[id(g)]
+            if g.flags.writeable:  # not checked yet; frozen once checked
+                if g.shape != (2, 2):
+                    raise ValueError(f"gate for neuron {q} must be 2x2, got {g.shape}")
+                if not is_unitary(g, atol=1e-12):
+                    raise ValueError(f"gate for neuron {q} is not unitary")
+                g.setflags(write=False)
+        object.__setattr__(self, "gates", tuple(copies[id(g)] for g in gates))
         object.__setattr__(self, "targets", targets)
 
 
@@ -190,8 +186,8 @@ def _sorted(idx: np.ndarray, amps: np.ndarray):
     return idx[order], amps[:, order]
 
 
-def _full_form_pays(rows: int, support: int, n: int) -> bool:
-    return rows << n <= _DENSE_AMPS or support * _SUPPORT_SHARE >= 1 << n
+def _full_form_pays(support: int, n: int) -> bool:
+    return support * _SUPPORT_SHARE >= 1 << n
 
 
 def _run_steps(idx: np.ndarray, amps: np.ndarray, net: NetworkSpec):
@@ -200,15 +196,15 @@ def _run_steps(idx: np.ndarray, amps: np.ndarray, net: NetworkSpec):
     The full form is the support that covers the register, S = 2^N.  On a
     partial support a boolean step relabels the branches, ``k ^ flips(k)``,
     and a kron block multiplies each group of branches that share their
-    other bits.  The runner goes dense for small registers and once a
-    support would cover 1/4 of the register, and returns (idx, amps) in the
-    form it ends in; the full form's ``arange(2^N)`` is built on exit only.
+    other bits.  The runner goes dense once a support would cover 1/4 of
+    the register, and returns (idx, amps) in the form it ends in; the full
+    form's ``arange(2^N)`` is built on exit only.
     Every step is unitary by construction, so callers check the result once.
     """
     n = net.n_neurons
     full = len(idx) == 1 << n
     for targets, (table, patterns) in net._plan:
-        if not full and _full_form_pays(len(amps), len(idx) << len(targets or ()), n):
+        if not full and _full_form_pays(len(idx) << len(targets or ()), n):
             full, amps = True, _dense(idx, amps, n)
         if targets is None and full:
             # XOR is an involution: the image array is also the gather index.

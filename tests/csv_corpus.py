@@ -12,14 +12,16 @@ source trees gives two corpora that ``diff -r`` compares::
     PYTHONPATH=src python tests/csv_corpus.py /tmp/change
     diff -r /tmp/base /tmp/change
 
-The corpus holds 99 CSVs:
+The corpus holds 100 CSVs:
 
 * the seven scenarios for seeds 0-4, each with one ``--phi`` and
   ``--t 0,0.5,3.7``;
 * six ops of each bench workload (``bench/workloads.make_op``, seed 0), with
   their input files;
 * ``run`` and ``average`` on an N=5 and an N=13 net whose last step puts a
-  Hadamard on every neuron, so the runner ends in the full form.
+  Hadamard on every neuron, so the runner ends in the full form;
+* ``average --nmax 1`` on the N=5 net over bench-shaped packets at
+  truncation 2, so ``WavePacket.truncate`` drops modes and renormalizes.
 
 Next to them, ``demos/`` holds one transcript per script in the ``demos``
 directory beside this file's own directory: its stdout, byte for byte.  To
@@ -58,6 +60,7 @@ PHI = "0.3,1.1,2.2,0.7pi"
 TIMES = "0,0.5,3.7"
 BENCH_OPS = 6
 FULL_LAYERS = ((2, 3), (3, 5, 5))
+NMAX_PACKETS = 16  # modes per packet from the bench's generator, at truncation 2, for ``--nmax 1``
 
 MIRROR = ("layers = [1, 1]\n[step]\nkind = boolean\ncontrols = [1]\ntargets = [2]\n"
           "table = 0 -> 0, 1 -> 1\n")
@@ -196,6 +199,14 @@ def write_corpus(root: Path) -> list[str]:
             packet.write_text(workloads.random_packet(rng, workloads.AVERAGE_MODES)[2])
             packets += ["--packet", packet]
         call(["average", "--net", net, *packets, f"--t={TIMES}", "--out", d / f"average-n{n}.csv"])
+
+    rng, packets = np.random.default_rng(1), []
+    for q in range(FULL_LAYERS[0][0]):
+        packet = root / "full" / f"n5-nmax-input{q + 1}.packet"
+        packet.write_text(workloads.random_packet(rng, NMAX_PACKETS, truncation=2)[2])
+        packets += ["--packet", packet]
+    call(["average", "--net", root / "full" / "n5.net", *packets, "--nmax", "1", f"--t={TIMES}",
+          "--out", root / "full" / "average-n5-nmax1.csv"])
 
     (root / "demos").mkdir()
     env = dict(os.environ, PYTHONPATH=str(Path(qfnn.__file__).resolve().parents[1]))

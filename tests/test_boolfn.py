@@ -44,6 +44,15 @@ class TestBooleanFunction:
         with pytest.raises(ValueError, match="power of two"):
             BooleanFunction.from_output_strings(["0", "1", "1"])
 
+    def test_from_output_strings_refuses_rows_that_are_not_str(self):
+        for rows, message in (
+            ([0, 1], "output string 0 must be a str, got int"),
+            ([b"0", b"1"], "output string 0 must be a str, got bytes"),
+            (["0", 1], "output string 1 must be a str, got int"),
+        ):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                BooleanFunction.from_output_strings(rows)
+
     def test_out_of_range_outputs_name_the_first_offending_input(self):
         for outputs, n, culprit in (
             ((0, 1, 4, 9), 2, "output 4 for input 2 "),

@@ -128,6 +128,15 @@ class TestWavePacket:
         with pytest.raises(ValueError, match="non-negative"):
             p.truncate(-1)
 
+    def test_truncate_refuses_survivors_that_cannot_carry_a_unit_norm(self):
+        """Zero-weight survivors once raised a raw ZeroDivisionError; subnormal ones keep too
+        few digits to renormalize."""
+        with pytest.raises(ValueError, match="^no modes survive truncation to 1$"):
+            WavePacket({(0, 0, 0, 0): 0.0, (2, 0, 0, 0): 1.0}).truncate(1)
+        tiny = WavePacket({(2, 0, 0, 0): 1.0, (0, 0, 0, 0): 1e-320, (1, 0, 0, 0): 3e-320})
+        with pytest.raises(ValueError, match="^coefficients are not normalized"):
+            tiny.truncate(1)
+
     def test_evolution_only_rotates_phases(self):
         """Psi(phi, t) is the packet whose A_n are turned by exp(-i |n|^2 t), a unit packet too."""
         rng = np.random.default_rng(52)
@@ -306,7 +315,7 @@ class TestAveragedDensity:
     def test_argument_validation(self):
         net = boolean_network_for(MIRROR)
         uniform = WavePacket.uniform()
-        with pytest.raises(ValueError, match="counts must match"):
+        with pytest.raises(ValueError, match=r"^need 1 packets for input neurons \[1\], got 2$"):
             averaged_density(net, [uniform, uniform], input_neurons=(1,))
         with pytest.raises(ValueError, match="at least one"):
             averaged_density(net, [])
@@ -429,6 +438,16 @@ class TestPurity:
         assert value == pytest.approx(np.trace(a @ a).real, rel=1e-12)
 
 
+def assert_same_packet(got, expected):
+    """``got`` holds ``expected``'s arrays bit for bit, and its truncation."""
+    for name in ("_modes", "_values", "_energies"):
+        want = getattr(expected, name)
+        assert getattr(got, name).dtype == want.dtype
+        assert getattr(got, name).tobytes() == want.tobytes(), name
+    assert got.truncation == expected.truncation
+    assert got.modes == expected.modes
+
+
 class TestPacketText:
     def test_round_trip(self):
         rng = np.random.default_rng(58)
@@ -481,12 +500,7 @@ class TestPacketText:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             got = parse_packet(text)
-        for name in ("_modes", "_values", "_energies"):
-            want = getattr(expected, name)
-            assert getattr(got, name).dtype == want.dtype
-            assert getattr(got, name).tobytes() == want.tobytes(), name
-        assert got.truncation == expected.truncation
-        assert got.modes == expected.modes
+        assert_same_packet(got, expected)
 
     @pytest.mark.parametrize("text, message", [
         ("0 0 0 0 1\n", "line 1: expected 'n0 n1 n2 n3 re im' (6 fields), got 5"),
@@ -577,3 +591,61 @@ class TestRandomPacket:
             random_packet(0, 2, np.random.default_rng(61))
         with pytest.raises(ValueError, match="non-negative"):
             random_packet(-1, 1, np.random.default_rng(62))
+
+    def test_truncation_past_the_int64_lattice_is_refused(self):
+        """(2T + 1)^4 lattice sites must fit rng.choice's int64: T = 27553 is the last that does."""
+        p = random_packet(27553, 2, np.random.default_rng(63))
+        assert p.truncation == 27553 and len(p.modes) == 2
+        rng = np.random.default_rng(64)
+        with pytest.raises(ValueError, match="^truncation must be at most 27553, got 27554$"):
+            random_packet(27554, 1, rng)
+        assert rng.bit_generator.state == np.random.default_rng(64).bit_generator.state
+
+
+def mapped_truncate(packet, n_max):
+    """``packet.truncate(n_max)`` through the checked mapping constructor; None if no weight
+    survives."""
+    kept = {m: v for m, v in packet.coefficients.items() if max(map(abs, m)) <= n_max}
+    norm = math.hypot(*(x for v in kept.values() for x in (v.real, v.imag)))
+    return WavePacket({m: v / norm for m, v in kept.items()}, truncation=n_max) if norm else None
+
+
+def mapped_random_packet(truncation, n_modes, rng):
+    """``random_packet`` through the checked mapping constructor, one mode tuple at a time."""
+    side = 2 * truncation + 1
+    flat = rng.choice(side**4, size=n_modes, replace=False)
+    modes = [tuple(int(k) - truncation for k in np.unravel_index(f, (side,) * 4)) for f in flat]
+    values = rng.normal(size=n_modes) + 1j * rng.normal(size=n_modes)
+    values /= np.linalg.norm(values)
+    return WavePacket({m: complex(v) for m, v in zip(modes, values)}, truncation=truncation)
+
+
+class TestArrayBuiltPackets:
+    """``truncate`` and ``random_packet`` build from arrays; the mapping constructor is the oracle."""
+
+    @settings(max_examples=60)
+    @given(st.integers(0, 3), st.integers(1, 24), st.integers(0, 2**32 - 1), st.integers(0, 3),
+           st.sets(st.integers(0, 23), max_size=6))
+    def test_truncate_equals_the_mapping_constructor(self, truncation, n_modes, seed, n_max, zeros):
+        n_modes = min(n_modes, (2 * truncation + 1) ** 4)
+        rng = np.random.default_rng(seed)
+        modes = list(random_packet(truncation, n_modes, rng).coefficients)
+        values = rng.normal(size=n_modes) + 1j * rng.normal(size=n_modes)
+        values[[z for z in zeros if z < n_modes - 1]] = 0.0  # the last weight stays
+        values /= np.linalg.norm(values)
+        packet = WavePacket(dict(zip(modes, values.tolist())))
+        expected = mapped_truncate(packet, n_max)
+        if expected is None:
+            with pytest.raises(ValueError, match=f"^no modes survive truncation to {n_max}$"):
+                packet.truncate(n_max)
+        else:
+            assert_same_packet(packet.truncate(n_max), expected)
+
+    @settings(max_examples=60)
+    @given(st.one_of(st.integers(0, 3), st.integers(4, 27553)), st.integers(1, 24),
+           st.integers(0, 2**32 - 1))
+    def test_random_packet_equals_the_mapping_constructor(self, truncation, n_modes, seed):
+        n_modes = min(n_modes, (2 * truncation + 1) ** 4)
+        got = random_packet(truncation, n_modes, np.random.default_rng(seed))
+        expected = mapped_random_packet(truncation, n_modes, np.random.default_rng(seed))
+        assert_same_packet(got, expected)

@@ -1,6 +1,7 @@
 """Unit tests for network specs, history execution, and the bundled layouts."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -53,6 +54,21 @@ class TestStepValidation:
         step = UnitaryStep((HADAMARD.copy(),), (1,))
         with pytest.raises(ValueError):
             step.gates[0][0, 0] = 9.0
+
+    def test_unitary_step_checks_each_distinct_gate_once(self):
+        """One gate object over k targets is checked and copied once; errors name its first target."""
+        checked = mock.Mock(wraps=network.is_unitary)
+        bad = np.array([[1.0, 0.0], [0.0, 2.0]])
+        with mock.patch.object(network, "is_unitary", checked):
+            step = UnitaryStep((HADAMARD,) * 6, (6, 5, 4, 3, 2, 1))
+            assert checked.call_count == 1
+            assert len({id(g) for g in step.gates}) == 1
+            assert np.array_equal(step.gates[0], HADAMARD) and not step.gates[0].flags.writeable
+            with pytest.raises(ValueError, match=r"^gate for neuron 2 is not unitary$"):
+                UnitaryStep((HADAMARD, bad), (1, 2))
+            with pytest.raises(ValueError, match=r"^gate for neuron 4 is not unitary$"):
+                UnitaryStep((HADAMARD, bad, HADAMARD, bad), (1, 4, 3, 2))
+            assert checked.call_count == 1 + 2 + 2
 
 
 class TestNetworkSpec:
