@@ -339,25 +339,25 @@ def averaged_dynamics_check(t_values=(0.0, 0.5, 3.7)) -> ScenarioReport:
         else:
             drift = max(drift, float(np.max(np.abs(mat - first))))
         tag = f"t={t:g}"
-        report.check(f"{tag}: unit trace", 1.0, float(np.trace(mat).real), 1e-9)
+        report.check(f"{tag}: unit trace", 1.0, float(np.trace(mat).real), 1e-12)
         report.check(
             f"{tag}: Hermitian entries", 0.0, float(np.max(np.abs(mat - mat.conj().T))), 1e-10
         )
         off = np.abs(mat).sum() - abs(mat[0, 0]) - abs(mat[3, 3])
         report.check(
-            f"{tag}: weight confined to the agreeing branches 00 and 11", 0.0, float(off), 1e-9
+            f"{tag}: weight confined to the agreeing branches 00 and 11", 0.0, float(off), 1e-12
         )
         report.check(
             f"{tag}: quiescent-branch weight equals the quarter-angle marginal",
-            QUARTER_ANGLE_MARGINAL, float(mat[0, 0].real), 1e-6
+            QUARTER_ANGLE_MARGINAL, float(mat[0, 0].real), 1e-12
         )
         report.check(
             f"{tag}: firing-branch weight equals the quarter-angle marginal",
-            QUARTER_ANGLE_MARGINAL, float(mat[3, 3].real), 1e-6
+            QUARTER_ANGLE_MARGINAL, float(mat[3, 3].real), 1e-12
         )
         report.check(
             f"{tag}: averaging mixes the state (purity of the balanced pair)",
-            2.0 * QUARTER_ANGLE_MARGINAL**2, purity(rho), 1e-6
+            2.0 * QUARTER_ANGLE_MARGINAL**2, purity(rho), 1e-12
         )
     if len(t_values) > 1:
         report.check("uniform packet is stationary: no drift across times", 0.0, drift, 1e-10)

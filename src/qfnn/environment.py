@@ -31,7 +31,7 @@ DEFAULT_TRUNCATION = 3
 
 _TWO_PI = 2.0 * math.pi
 _FOUR_PI_SQ = 4.0 * math.pi**2
-_NORM_ATOL = 1e-12
+_PACKET_NORM_ATOL = 1e-12  # not qstate._NORM_ATOL: packet norms and their rows hold to rounding
 _RENORM_WARN = 1e-6
 #: Largest |mode component| a packet takes: the mode-pair search packs the (n1, n2)
 #: spans into one float64 integer, exact while (2e6 + 3)^2 stays below 2^53.
@@ -40,7 +40,7 @@ MAX_MODE_COMPONENT = 10**6
 _PHASE_LIMIT = 2.0**52
 #: Amplitudes (rows x support bound) of the times that share one runner call: 1 MiB.
 _ENSEMBLE_AMPS = 2**16
-#: Mode pairs x times one pair sum may build: ~77 B each, so about 320 MB.
+#: Mode pairs, and (packet, gap) bins x times, one pair sum may build: 2^22 pairs take ~290 MB.
 _PAIR_TERMS = 2**22
 
 
@@ -116,7 +116,7 @@ class WavePacket:
         if len(set(modes)) != len(modes):
             raise ValueError("duplicate modes in coefficient mapping")
         norm = _norm(values)
-        if abs(norm * norm - 1.0) > _NORM_ATOL:
+        if abs(norm * norm - 1.0) > _PACKET_NORM_ATOL:
             raise ValueError(f"coefficients are not normalized: sum |A|^2 = {norm * norm!r}")
         WavePacket._trusted(modes, values, self)
         cap = self._truncation if truncation is None else _integer(truncation, "truncation")
@@ -162,7 +162,7 @@ class WavePacket:
         if norm == 0.0:  # no mode, or only modes of zero weight
             raise ValueError(f"no modes survive truncation to {n_max}")
         values = [v / norm for v in kept]
-        if abs(_norm(values) ** 2 - 1.0) > _NORM_ATOL:  # subnormal survivors keep too few digits
+        if abs(_norm(values) ** 2 - 1.0) > _PACKET_NORM_ATOL:  # subnormal survivors keep too few digits
             raise ValueError(f"coefficients are not normalized: sum |A|^2 = {_norm(values) ** 2!r}")
         return WavePacket._trusted(self._modes[keep], values, truncation=n_max)
 
@@ -208,8 +208,8 @@ def _averaged_densities(packets: Sequence[WavePacket], times: np.ndarray, inputs
     """Exact averages of the excited-neuron projector over |Psi(phi, t)|^2: (inputs, times, 2, 2).
 
     The gate response of a quiescent neuron is the pure state
-    (e^{i(phi0+phi1)} cos(phi3/4), -e^{i(phi0-phi2)} sin(phi3/4)), and
-    |Psi|^2 = sum_ab c_a conj(c_b) e^{i d.phi} / (16 pi^4) with d = n_a - n_b.
+    (e^{i(phi0+phi1)} cos(phi3/4), -e^{i(phi0-phi2)} sin(phi3/4)), and |Psi|^2 =
+    sum_ab c_a conj(c_b) e^{i d.phi - i g t} / (16 pi^4), d = n_a - n_b, g = |n_a|^2 - |n_b|^2.
     Axes 0-2 integrate to (2 pi)^3 for d = (0, 0, 0) in the diagonal and,
     after the response phase e^{i(phi1+phi2)}, for d = (0, -1, -1) in the
     coherence; every other pair drops out, and each kept pair carries
@@ -218,29 +218,32 @@ def _averaged_densities(packets: Sequence[WavePacket], times: np.ndarray, inputs
     cos^2(phi/4) = (1 + cos(phi/2))/2 gives pi [d3 = 0] + i d3 / (d3^2 - 1/4),
     sin^2(phi/4) = (1 - cos(phi/2))/2 gives pi [d3 = 0] - i d3 / (d3^2 - 1/4),
     and -cos(phi/4) sin(phi/4) = -sin(phi/2)/2 gives 1 / (2 d3^2 - 1/2).
-    Modes are distinct, so d = 0 only for a = b: the flat part of the
-    diagonal is sum |c|^2 / 2, and the trace sum |c|^2.  Only the kept pairs are
-    built: each mode's partners form one run of the ascending keys, found by binary search,
-    and a pass of more than ``_PAIR_TERMS`` pairs x times is refused before any is built,
-    naming the input neuron (of ``inputs``, one per packet) whose packet holds the most.
+    Modes are distinct, so d = 0 only for a = b: the flat part of the diagonal is sum |c|^2 / 2
+    at every time, and the trace sum |c|^2.  The kept pairs are built once for all times (each
+    mode's partners form one run of the ascending keys, found by binary search) and summed per
+    (packet, g) bin; only the bin sums turn, by e^{-igt}.  More than ``_PAIR_TERMS`` pairs, or
+    bins x times with bins <= min(pairs, packets x (2 max |n|^2 + 1)), are refused before any is
+    built, naming the input neuron (of ``inputs``, one per packet) whose packet holds the most.
     ``times`` is a float64 array the caller has checked against each packet (``_checked_times``).
     """
     sizes = [len(p._values) for p in packets]
     bounds, modes = np.cumsum([0] + sizes), np.concatenate([p._modes for p in packets])
+    values = np.concatenate([p._values for p in packets])
     energies = np.concatenate([p._energies for p in packets])
-    c = np.concatenate([p._values for p in packets]) * np.exp(-1j * energies * times[..., None])
     # Packets keep their modes sorted, so the keys (packet, n0) + i (n1, n2) ascend: complex
     # values sort lexicographically, and each part is an exact integer below 2^53.
     h = modes[:, :3] - modes[:, :3].min(axis=0)
     d = h.max(axis=0) + 2  # room for a +1 shift on every axis
     packet = np.repeat(np.arange(len(packets)), sizes)
     key = packet * d[0] + h[:, 0] + 1j * (h[:, 1] * d[2] + h[:, 2])
+    span = 2 * int(energies.max()) + 1  # gaps g per packet: |g| <= span // 2
+    base = packet * span + span // 2 + energies  # bin (packet, g) is base[a] - energies[b]
 
     def pair_sums(shift, term):  # over the pairs (a, b) with key[b] == key[a] + shift
         start = np.searchsorted(key, key + shift, "left")
         counts = np.searchsorted(key, key + shift, "right") - start
         pairs = int(counts.sum())
-        if pairs * len(times) > _PAIR_TERMS:
+        if max(pairs, min(pairs, len(packets) * span) * len(times)) > _PAIR_TERMS:
             per_packet = np.add.reduceat(counts, bounds[:-1])
             j = int(per_packet.argmax())
             raise ValueError(f"input neuron {inputs[j]}: {per_packet[j]} of the {pairs} mode "
@@ -249,12 +252,15 @@ def _averaged_densities(packets: Sequence[WavePacket], times: np.ndarray, inputs
         a = np.repeat(np.arange(len(key)), counts)
         # Within a's run, b counts up from start[a].
         b = np.arange(pairs) + np.repeat(start - np.cumsum(counts) + counts, counts)
-        terms = term(c[:, a] * c[:, b].conj(), (modes[a, 3] - modes[b, 3]).astype(np.float64))
-        cuts = np.searchsorted(a, bounds)
-        return np.array([terms[:, i:j].sum(axis=1) for i, j in zip(cuts, cuts[1:])])
+        bins, inverse = np.unique(base[a] - energies[b], return_inverse=True)
+        terms = term(values[a] * values.conj()[b], (modes[a, 3] - modes[b, 3]).astype(np.float64))
+        sums = np.bincount(inverse, terms.real) + 1j * np.bincount(inverse, terms.imag)
+        # vecdot conjugates its first argument, so e^{igt} turns each bin sum by e^{-igt}.
+        turns = np.exp(1j * np.multiply.outer(times, bins % span - span // 2))
+        cuts = np.searchsorted(bins, np.arange(len(packets) + 1) * span).tolist()
+        return np.array([np.vecdot(turns[:, i:j], sums[i:j]) for i, j in zip(cuts, cuts[1:])])
 
-    parts = [c[:, i:j] for i, j in zip(bounds, bounds[1:])]
-    flat = 0.5 * np.array([np.vecdot(part, part).real for part in parts])
+    flat = 0.5 * np.array([np.vecdot(p._values, p._values).real for p in packets])[:, None]
     wave = pair_sums(0, lambda cc, d3: cc * (1j * d3 / (_TWO_PI * (d3 * d3 - 0.25))))
     r01 = pair_sums(1j * (d[2] + 1), lambda cc, d3: cc / (_TWO_PI * (2.0 * d3 * d3 - 0.5)))
     rho = np.empty((len(packets), len(times), 2, 2), dtype=np.complex128)
@@ -302,7 +308,7 @@ def _averaged_ensembles(
         w, rows = weights[lo : lo + per_group], vecs[:, lo : lo + per_group]
         keep = w != 0.0
         columns = np.stack([rows[j][:, pick] for j, pick in enumerate(picks.T)], axis=2)
-        idx, amps = _evolve(net, columns[keep], inputs, _NORM_ATOL)
+        idx, amps = _evolve(net, columns[keep], inputs, _PACKET_NORM_ATOL)
         ends = np.cumsum(keep.sum(axis=1)).tolist()
         yield from ((wt[kept], idx, amps[s:e]) for wt, kept, s, e in zip(w, keep, [0] + ends, ends))
         del idx, amps  # before the next group runs: the caller holds what it still needs
@@ -326,7 +332,7 @@ def averaged_ensemble(
     average at unit trace.  U is unitary, so the rho_q eigenvectors pushed
     through the steps are its eigenstates and the products of their
     eigenvalues its spectrum; no 4^N matrix is formed.
-    Each phase |n|^2 t is off by ~|n|^2 |t| 2^-52 rad, so |n|^2 |t| >= 2^52 is refused.
+    Each phase g t (energy gap |g| <= |n|^2) is off by ~|g| |t| 2^-52 rad: |n|^2 |t| >= 2^52 is refused.
     """
     return next(_averaged_ensembles(net, packets, [t], input_neurons))
 
@@ -399,7 +405,7 @@ def parse_packet(text: str) -> WavePacket:
     if abs(norm * norm - 1.0) > _RENORM_WARN:
         warnings.warn(f"packet norm was {norm:.9g}; renormalizing to 1", stacklevel=2)
     values = [v / norm for v in coeffs.values()]
-    if abs(_norm(values) ** 2 - 1.0) > _NORM_ATOL:  # subnormal inputs keep too few digits
+    if abs(_norm(values) ** 2 - 1.0) > _PACKET_NORM_ATOL:  # subnormal inputs keep too few digits
         raise ParseError(f"coefficients are not normalized: sum |A|^2 = {_norm(values) ** 2!r}")
     return WavePacket._trusted(list(coeffs), values)
 

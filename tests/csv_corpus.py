@@ -12,7 +12,7 @@ source trees gives two corpora that ``diff -r`` compares::
     PYTHONPATH=src python tests/csv_corpus.py /tmp/change
     diff -r /tmp/base /tmp/change
 
-The corpus holds 100 CSVs:
+The corpus holds 102 CSVs:
 
 * the seven scenarios for seeds 0-4, each with one ``--phi`` and
   ``--t 0,0.5,3.7``;
@@ -21,7 +21,11 @@ The corpus holds 100 CSVs:
 * ``run`` and ``average`` on an N=5 and an N=13 net whose last step puts a
   Hadamard on every neuron, so the runner ends in the full form;
 * ``average --nmax 1`` on the N=5 net over bench-shaped packets at
-  truncation 2, so ``WavePacket.truncate`` drops modes and renormalizes.
+  truncation 2, so ``WavePacket.truncate`` drops modes and renormalizes;
+* ``average`` over many modes at many times: four 300-mode packets
+  (truncation 4) on a (4, 3, 3) net at 100 times, and one 2,000-mode packet
+  (truncation 3) on a (1, 1) net at 1,000 times, whose 11,988 pairs pass
+  2^22 pair-terms at that many times.
 
 Next to them, ``demos/`` holds one transcript per script in the ``demos``
 directory beside this file's own directory: its stdout, byte for byte.  To
@@ -61,6 +65,8 @@ TIMES = "0,0.5,3.7"
 BENCH_OPS = 6
 FULL_LAYERS = ((2, 3), (3, 5, 5))
 NMAX_PACKETS = 16  # modes per packet from the bench's generator, at truncation 2, for ``--nmax 1``
+#: (net layers, packets, modes per packet, truncation, times) of the many-times ``average`` calls.
+MANY_TIMES = (((4, 3, 3), 4, 300, 4, 100), ((1, 1), 1, 2000, 3, 1000))
 
 MIRROR = ("layers = [1, 1]\n[step]\nkind = boolean\ncontrols = [1]\ntargets = [2]\n"
           "table = 0 -> 0, 1 -> 1\n")
@@ -207,6 +213,20 @@ def write_corpus(root: Path) -> list[str]:
         packets += ["--packet", packet]
     call(["average", "--net", root / "full" / "n5.net", *packets, "--nmax", "1", f"--t={TIMES}",
           "--out", root / "full" / "average-n5-nmax1.csv"])
+
+    (root / "times").mkdir()
+    for layers, count, modes, truncation, times in MANY_TIMES:
+        rng, name = np.random.default_rng(7), f"{count}x{modes}-modes-{times}-times"
+        net = root / "times" / f"{name}.net"
+        tables = [workloads._table(rng, a, b) for a, b in zip(layers, layers[1:])]
+        net.write_text(workloads.layered_net(layers, tables))
+        packets = []
+        for q in range(count):
+            packet = root / "times" / f"{name}-input{q + 1}.packet"
+            packet.write_text(workloads.random_packet(rng, modes, truncation)[2])
+            packets += ["--packet", packet]
+        t = ",".join(repr(0.05 * k) for k in range(times))
+        call(["average", "--net", net, *packets, f"--t={t}", "--out", root / "times" / f"average-{name}.csv"])
 
     (root / "demos").mkdir()
     env = dict(os.environ, PYTHONPATH=str(Path(qfnn.__file__).resolve().parents[1]))

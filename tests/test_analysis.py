@@ -39,7 +39,7 @@ from qfnn import (
     xor_network,
     xor_reflexivity_check,
 )
-from qfnn import analysis, gates, network
+from qfnn import analysis, environment, gates, network
 from qfnn.analysis import _SCALARS, MAX_SAMPLES, ScenarioReport
 
 EDGE_PHIS = [
@@ -82,6 +82,30 @@ class TestScenarioChecksPass:
     def test_averaged_dynamics(self):
         report = averaged_dynamics_check(t_values=(0.0, 1.25))
         assert report.passed
+
+    def test_averaged_dynamics_catches_a_shift_of_1e_10(self, monkeypatch):
+        """The exact average observes 1, 0, 0.5 and 0.5 to rounding, so the checks hold to
+        1e-12: a 1e-10 shift of the input average's weight and coherence fails them, where
+        tolerances of 1e-9 (confinement) and 1e-6 (marginals) let it pass."""
+        exact = environment._averaged_densities
+
+        def shifted(packets, times, inputs):
+            rho = exact(packets, times, inputs)
+            rho[..., 0, 0] += 1e-10
+            rho[..., 1, 1] -= 1e-10
+            rho[..., 0, 1] += 1e-10
+            rho[..., 1, 0] += 1e-10
+            return rho
+
+        monkeypatch.setattr(environment, "_averaged_densities", shifted)
+        report = averaged_dynamics_check(t_values=(0.0,))
+        failed = [d for d, ok in zip(report.descriptions, report.verdicts) if not ok]
+        assert failed == [
+            "t=0: weight confined to the agreeing branches 00 and 11",
+            "t=0: quiescent-branch weight equals the quarter-angle marginal",
+            "t=0: firing-branch weight equals the quarter-angle marginal",
+        ]
+        assert report.tolerances == [1e-12, 1e-10, 1e-12, 1e-12, 1e-12, 1e-12]
 
     def test_input_validation(self):
         with pytest.raises(ValueError, match="positive"):

@@ -227,37 +227,62 @@ def test_average_command_never_builds_a_4n_matrix(tmp_path):
 
 def test_packet_pairs_past_the_budget_exit_two_in_flat_memory(tmp_path, capsys):
     """2,100 modes that share (n0, n1, n2) pair with each other: 2100^2 pairs in one run,
-    ~340 MB of pair terms, which the sum once built in full before any check."""
+    ~340 MB of pair terms, which the sum once built in full before any check.  At 8,000
+    times the same count is refused as early: evolving every mode to every time first held
+    a 269 MB (times x modes) array before the check."""
     r = 1.0 / math.sqrt(2100)
     packet, net = tmp_path / "column.pk", tmp_path / "mirror.net"
     packet.write_text("".join(f"0 0 0 {n3} {r!r} 0\n" for n3 in range(-1050, 1050)))
     net.write_text(config_text(NetworkSpec((1, 1), (BooleanStep(BooleanFunction(1, 1, (0, 1)), (1,), (2,)),))))
-    start = time.perf_counter()
-    tracemalloc.start()
-    try:
-        code = main(["average", "--net", str(net), "--packet", str(packet)])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    elapsed = time.perf_counter() - start
-    assert code == 2
-    assert capsys.readouterr() == (
-        "", "error: input neuron 1: 4410000 of the 4410000 mode pairs; at 1 time(s) they pass "
-        f"the limit of {2**22} pair-terms\n"
-    )
-    assert elapsed < 1.0 and peak < 20 * 2**20, (elapsed, peak)
+    for count, times in ((1, []), (8000, ["--t", ",".join(repr(0.001 * k) for k in range(8000))])):
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            code = main(["average", "--net", str(net), "--packet", str(packet), *times])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        elapsed = time.perf_counter() - start
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", f"error: input neuron 1: 4410000 of the 4410000 mode pairs; at {count} time(s) they "
+            f"pass the limit of {2**22} pair-terms\n"
+        )
+        assert elapsed < 1.0 and peak < 20 * 2**20, (elapsed, peak)
 
 
-def test_pair_budget_counts_pairs_by_times(monkeypatch):
-    """Four modes of one run: 16 pairs in the wave sum, so 48 pair-terms at three times."""
-    packet = WavePacket({(0, 0, 0, n3): 0.5 for n3 in range(4)})
+def test_pair_budget_counts_pairs_and_bins_by_times(monkeypatch):
+    """Five modes of one run, n3 = -2..2: 25 pairs in the wave sum, but energies 0..4 leave at
+    most 9 (packet, gap) bins.  At three times that is 75 pairs x times, and 27 bins x times:
+    the budget bounds the pairs and the bins x times, so 27 suffices."""
+    packet = WavePacket({(0, 0, 0, n3): 1.0 / math.sqrt(5.0) for n3 in range(-2, 3)})
     times = np.array([0.0, 0.5, 3.7])
-    monkeypatch.setattr(environment, "_PAIR_TERMS", 48)
-    environment._averaged_densities([packet], times, (1,))
-    monkeypatch.setattr(environment, "_PAIR_TERMS", 47)
-    message = r"^input neuron 1: 16 of the 16 mode pairs; at 3 time\(s\) they pass the limit of 47 pair-terms$"
+    want = environment._averaged_densities([packet], times, (1,))
+    monkeypatch.setattr(environment, "_PAIR_TERMS", 27)
+    assert environment._averaged_densities([packet], times, (1,)).tobytes() == want.tobytes()
+    monkeypatch.setattr(environment, "_PAIR_TERMS", 26)
+    message = r"^input neuron 1: 25 of the 25 mode pairs; at 3 time\(s\) they pass the limit of 26 pair-terms$"
     with pytest.raises(ValueError, match=message):
         environment._averaged_densities([packet], times, (1,))
+    environment._averaged_densities([packet], times[:2], (1,))  # 18 bins x times
+    monkeypatch.setattr(environment, "_PAIR_TERMS", 24)
+    message = r"^input neuron 1: 25 of the 25 mode pairs; at 1 time\(s\) they pass the limit of 24 pair-terms$"
+    with pytest.raises(ValueError, match=message):
+        environment._averaged_densities([packet], times[:1], (1,))
+
+
+def test_many_pairs_at_many_times_run_within_the_budget():
+    """2,000 modes at truncation 3 make 11,980 pairs in the wave sum: 11.98 million pair-terms
+    at 1,000 times pass 2^22, but energies up to 36 leave at most 73 gap bins per sum, so the
+    average runs, equal at each time to the average at that time alone."""
+    packet = random_packet(3, 2000, np.random.default_rng(7))
+    times = np.linspace(0.0, 10.0, 1000)
+    rho = environment._averaged_densities([packet], times, (1,))[0]
+    assert rho.shape == (1000, 2, 2)
+    np.testing.assert_allclose(rho[:, 0, 0] + rho[:, 1, 1], 1.0, rtol=0, atol=1e-12)
+    for k in (0, 1, 500, 999):
+        alone = environment._averaged_densities([packet], times[k : k + 1], (1,))[0, 0]
+        assert rho[k].tobytes() == alone.tobytes()
 
 
 def test_pair_limit_names_the_input_neuron_whose_packet_holds_the_most_pairs(tmp_path, capsys):

@@ -28,7 +28,7 @@ from qfnn import (
     run_history,
     von_neumann_entropy,
 )
-from qfnn.environment import MAX_MODE_COMPONENT
+from qfnn.environment import MAX_MODE_COMPONENT, _averaged_densities
 from torus_oracle import (
     averaged_qubit_density,
     evolved_coefficients,
@@ -384,6 +384,19 @@ class TestExactAverage:
         assert rho.trace().real == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(rho, rho.conj().T, rtol=0, atol=0)
         assert np.linalg.eigvalsh(rho)[0] >= -1e-12
+
+    @settings(max_examples=25)
+    @given(packets_and_times(), st.integers(1, 1000), st.integers(0, 2**32 - 1))
+    def test_every_time_is_the_turned_packet_at_time_zero(self, case, count, seed):
+        """Up to 1,000 times in one pass: at each t, the average at t = 0 of the packet whose
+        coefficients the oracle turned by exp(-i |n|^2 t)."""
+        packet, t = case
+        times = np.random.default_rng(seed).uniform(-10.0, 10.0, count)
+        times[0] = t
+        got = _averaged_densities([packet], times, (1,))[0]
+        turned = [WavePacket(dict(zip(packet.modes, evolved_coefficients(packet, s)))) for s in times]
+        want = _averaged_densities(turned, np.zeros(1), range(1, count + 1))[:, 0]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_whole_truncation_three_lattice_in_bounded_memory(self):
         """All 2,401 modes: only the contributing pairs are built, never M x M arrays."""
