@@ -17,7 +17,7 @@ from .boolfn import BooleanFunction
 from .csvtext import _cell, _g12, _quoted, _write
 from .environment import WavePacket, _averaged_ensembles, _density, purity
 from .errors import _integer
-from .gates import GateParams, _response_columns, psi_amplitudes
+from .gates import GateParams, _u2_stack, psi_amplitudes
 from .network import (
     _amps_at, _evolve, _truth_probabilities, boolean_network_for, complementarity_network,
     hadamard_variant_network, input_layer, run_history, xor_network,
@@ -117,14 +117,6 @@ def _phi_tag(phi: GateParams) -> str:
     return ";".join(f"{a:.10g}" for a in phi.as_tuple())
 
 
-def _check_phi(phi) -> GateParams:
-    if phi is None:
-        return DEFAULT_PHI
-    if not isinstance(phi, GateParams):
-        raise ValueError(f"expected GateParams, got {type(phi).__name__}")
-    return phi
-
-
 # ---------------------------------------------------------------------------
 # Two-neuron scenarios
 # ---------------------------------------------------------------------------
@@ -153,7 +145,7 @@ def table2_check(phi: GateParams | None = None) -> ScenarioReport:
     The expected kets place the two response amplitudes psi(0), psi(1) on the
     branches selected by each connection's table.
     """
-    phi = _check_phi(phi)
+    phi = DEFAULT_PHI if phi is None else phi  # psi_amplitudes or run_history checks it
     psi0, psi1 = psi_amplitudes(phi)
     report = ScenarioReport(f"table2[phi={_phi_tag(phi)}]")
     for label, rows in _SINGLE_CONNECTIONS:
@@ -175,7 +167,7 @@ def complementarity_check(phi: GateParams | None = None) -> ScenarioReport:
     the output's firing odds stay even while its phase pattern carries the
     input.
     """
-    phi = _check_phi(phi)
+    phi = DEFAULT_PHI if phi is None else phi  # psi_amplitudes or run_history checks it
     psi0, psi1 = psi_amplitudes(phi)
     net = complementarity_network()
     state = run_history(net, [phi], input_layer(net))
@@ -226,8 +218,9 @@ def xor_reflexivity_check(samples: int = 100, seed: int = DEFAULT_SEED) -> Scena
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples}")
     # One row per sample: the same stream as one draw of size 4 per sample.
-    columns = _response_columns(np.random.default_rng(seed).uniform(0.0, 2 * np.pi, (samples, 4)))
-    # Past 64 rows the runner keeps the support form: two branches per row.
+    columns = _u2_stack(np.random.default_rng(seed).uniform(0.0, 2 * np.pi, (samples, 4)))[:, :, 0]
+    # Boolean steps keep every row on two of the 16 branches, under the runner's
+    # 1/4 switch to the full form, at any row count.
     idx, amps = _evolve(xor_network(), columns[:, None], (1,))
     probs = np.abs(amps) ** 2
     # Allowed middle patterns (neurons 2 and 3): 01 and 10; output neuron 4 is bit 0.
@@ -248,7 +241,7 @@ def xor_reflexivity_check(samples: int = 100, seed: int = DEFAULT_SEED) -> Scena
 
 def hadamard_variant_check(phi: GateParams | None = None) -> ScenarioReport:
     """XOR-style network with a rotated output: even odds, branch-tagged signs."""
-    phi = _check_phi(phi)
+    phi = DEFAULT_PHI if phi is None else phi  # psi_amplitudes or run_history checks it
     net = hadamard_variant_network()
     state = run_history(net, [phi], (1,))
     idx = np.arange(16)

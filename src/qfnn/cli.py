@@ -328,7 +328,8 @@ def _build_parser() -> argparse.ArgumentParser:
                 action="append",
                 default=None,
                 metavar="A,B,C,D",
-                help="input angles in radians, phi3 in [0, 2pi]; 'pi' tokens work, e.g. "
+                help="input angles in radians, phi3 in [0, 2pi], the others within 2^14 of 0; "
+                "'pi' tokens work, e.g. "
                 "0,0,0,0.5pi; repeat the flag for several input neurons",
             )
         if seed:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ParseError, _integer, _lines, _neurons, _plain_numbers
 from .gates import GateParams
-from .network import NetworkSpec, _evolve
+from .network import NetworkSpec, _evolve, _rows_fit
 from .qstate import _EIG_FLOOR, DensityMatrix
 
 ModeIndex = tuple[int, int, int, int]
@@ -38,8 +38,6 @@ _RENORM_WARN = 1e-6
 MAX_MODE_COMPONENT = 10**6
 #: |n|^2 |t| from which an eigenphase's float64 spacing is >= 1 rad: no digit is left.
 _PHASE_LIMIT = 2.0**52
-#: Amplitudes (rows x support bound) of the times that share one runner call: 1 MiB.
-_ENSEMBLE_AMPS = 2**16
 #: Mode pairs, and (packet, gap) bins x times, one pair sum may build: 2^22 pairs take ~290 MB.
 _PAIR_TERMS = 2**22
 
@@ -273,7 +271,7 @@ def _averaged_ensembles(
     net: NetworkSpec, packets: Sequence[WavePacket], times: Sequence[float], input_neurons=None
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """``averaged_ensemble`` at each time, bit for bit, checked at the first ``next``: one ``eigh``
-    for all times, then one runner call per group within _ENSEMBLE_AMPS rows x support bound."""
+    for all times, then one runner call per group of times whose 2^m rows each ``_rows_fit`` takes."""
     times = _checked_times([float(t) for t in times], 0)
     packets = list(packets)
     if not packets:
@@ -281,9 +279,8 @@ def _averaged_ensembles(
     for p in packets:
         if not isinstance(p, WavePacket):
             raise ValueError(f"packets must be WavePacket instances, got {type(p).__name__}")
-    n = net.n_neurons
     inputs = range(1, len(packets) + 1) if input_neurons is None else input_neurons
-    inputs = _neurons(inputs, n, "input neuron")
+    inputs = _neurons(inputs, net.n_neurons, "input neuron")
     if len(packets) != len(inputs):
         raise ValueError(
             f"need {len(inputs)} packets for input neurons {list(inputs)}, got {len(packets)}"
@@ -303,7 +300,7 @@ def _averaged_ensembles(
     picks = (np.arange(2**m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
     weights = np.prod([lam[j][:, pick] for j, pick in enumerate(picks.T)], axis=0)
     vecs = np.swapaxes(vecs, -1, -2)  # vecs[j, k, i]: eigenvector i of input j at time k
-    per_group = max(1, _ENSEMBLE_AMPS // (2**m * min(2**n, 2**m * net._growth)))
+    per_group = max(1, _rows_fit(net, 2**m) // 2**m)
     for lo in range(0, len(times), per_group):
         w, rows = weights[lo : lo + per_group], vecs[:, lo : lo + per_group]
         keep = w != 0.0

@@ -32,6 +32,9 @@ def _wrap_angle(name: str, value: float) -> float:
     if name == "phi3":
         # U has period 8pi in phi3, so no wrap preserves the gate.
         raise ValueError(f"phi3 must lie in [0, 2pi], got {value!r}")
+    if abs(value) > 2.0**14:  # the wrap by the rounded 2pi is off by ~|value| 3.9e-17 rad
+        raise ValueError(f"{name}={value!r} is past |{name}| <= 2^14 rad, "
+                         "where the wrap into [0, 2pi] keeps 1e-12 rad")
     return value % TWO_PI
 
 
@@ -41,8 +44,8 @@ class GateParams:
 
     phi0 is a global phase, phi1 and phi2 set the relative phases of the
     matrix entries, and phi3 enters only through the quarter angle phi3/4.
-    phi0..phi2 outside [0, 2pi] are wrapped at construction and 2pi itself is
-    kept; phi3 outside [0, 2pi] is rejected with ``ValueError``.
+    phi0..phi2 outside [0, 2pi] are wrapped at construction (2pi is kept), up to
+    |phi| = 2^14; past it, and phi3 outside [0, 2pi], raise ``ValueError``.
     """
 
     phi0: float
@@ -72,32 +75,21 @@ for _g in (IDENTITY, NOT, HADAMARD):
 _FIXED = {"identity": IDENTITY, "not": NOT, "hadamard": HADAMARD}
 
 
+def _u2_stack(angles) -> np.ndarray:
+    """(K, 2, 2) U(phi) for the K rows (phi0..phi3) of ``angles`` in [0, 2pi]: the one gate formula."""
+    phi0, phi1, phi2, phi3 = np.asarray(angles, dtype=np.float64).reshape(-1, 4).T
+    c, s = np.cos(phi3 / 4.0), np.sin(phi3 / 4.0)
+    entries = np.exp(1j * np.array([phi1, phi2, -phi2, -phi1])) * np.array([c, s, -s, c])
+    # No complex temporary stands right of a product: on large arrays numpy runs x * temporary
+    # in place as temporary * x, which rounds differently, and row k's bits would depend on K.
+    return (np.exp(1j * phi0) * entries).T.reshape(-1, 2, 2)
+
+
 def u2_from_params(phi: GateParams) -> np.ndarray:
     """2x2 unitary for an angle tuple; the global phase is kept, not stripped."""
     if not isinstance(phi, GateParams):
         raise ValueError(f"expected GateParams, got {type(phi).__name__}")
-    c = math.cos(phi.phi3 / 4.0)
-    s = math.sin(phi.phi3 / 4.0)
-    g = np.exp(1j * phi.phi0)
-    return g * np.array(
-        [
-            [np.exp(1j * phi.phi1) * c, np.exp(1j * phi.phi2) * s],
-            [-np.exp(-1j * phi.phi2) * s, np.exp(-1j * phi.phi1) * c],
-        ],
-        dtype=np.complex128,
-    )
-
-
-def _response_columns(angles: np.ndarray) -> np.ndarray:
-    """(K, 2) first columns U(phi)|0> for rows (phi0..phi3) of ``angles``, in [0, 2pi].
-
-    The same operations as ``u2_from_params``, one array per entry.
-    """
-    phi0, phi1, phi2, phi3 = angles.T
-    g = np.exp(1j * phi0)
-    psi0 = g * (np.exp(1j * phi1) * np.cos(phi3 / 4.0))
-    psi1 = g * (-np.exp(-1j * phi2) * np.sin(phi3 / 4.0))
-    return np.stack([psi0, psi1], axis=1)
+    return _u2_stack(phi.as_tuple())[0]
 
 
 def psi_amplitudes(phi: GateParams) -> tuple[complex, complex]:

@@ -9,7 +9,6 @@ together in one state vector.
 
 from __future__ import annotations
 
-import math
 import mmap
 from dataclasses import dataclass
 from functools import reduce
@@ -19,11 +18,11 @@ import numpy as np
 
 from .boolfn import BooleanFunction, _flip_table, _xor_permutation
 from .errors import _integer, _neurons
-from .gates import GateParams, HADAMARD, is_unitary, u2_from_params
+from .gates import GateParams, HADAMARD, _u2_stack, is_unitary
 from .qstate import _NORM_ATOL, MAX_QUBITS, StateVector, _check_unit_norm
 
 _BLOCK_TARGETS = 6  # targets per kron block of a unitary step: blocks stay <= 64x64
-_BATCH_AMPS = 2**22  # amplitudes (64 MB) per batch of classical truth-table drives
+_BATCH_AMPS = 2**16  # amplitudes (1 MiB), K x S, that one batched runner call may reach
 # Full form once a step's support would cover 1/4 of the register: at N=18,
 # 4 shuffled boolean steps take 6.8 against 10.0 ms at S = 1/8 of it and
 # 10.8 against 8.4 ms at 1/4, and a 6-target block on the leading neurons
@@ -97,7 +96,7 @@ class NetworkSpec:
     has input neuron 1, middle neurons 2 and 3, and output neuron 4.
     Construction also compiles the plan every history runs: a 2^m-entry flip
     table per boolean step, kron blocks of <= 6 gates per unitary step, and
-    ``_growth``, the most the steps can multiply a support by: 2^(unitary targets).
+    ``_growth`` = 2^(unitary targets), the most the steps multiply a support by (``_rows_fit``).
     """
 
     layers: tuple[int, ...]
@@ -190,6 +189,16 @@ def _full_form_pays(support: int, n: int) -> bool:
     return support * _SUPPORT_SHARE >= 1 << n
 
 
+def _rows_fit(net: NetworkSpec, support: int) -> int:
+    """Rows starting on ``support`` branches that one runner call takes within _BATCH_AMPS (0: none).
+
+    No support passes ``support x _growth``, so the runner's own rule says whether a row can
+    go dense, to 2^N amplitudes, or stays within that many at every step.
+    """
+    grown, n = support * net._growth, net.n_neurons
+    return _BATCH_AMPS // (1 << n if _full_form_pays(grown, n) else grown)
+
+
 def _run_steps(idx: np.ndarray, amps: np.ndarray, net: NetworkSpec):
     """Push (K, S) amplitudes on the ascending basis indices ``idx`` through the steps.
 
@@ -250,7 +259,7 @@ def _evolve(net: NetworkSpec, columns: np.ndarray, inputs: Sequence[int], atol: 
 
 def _history(net: NetworkSpec, phis: Sequence[GateParams], inputs: tuple[int, ...]):
     """Support form (idx, amps) of one history, norm-checked; trusts ``run_history``'s checks."""
-    columns = np.array([[u2_from_params(phi)[:, 0] for phi in phis]]).reshape(1, -1, 2)
+    columns = _u2_stack([phi.as_tuple() for phi in phis])[None, :, :, 0]
     idx, amps = _evolve(net, columns, inputs)
     return idx, amps[0]
 
@@ -263,13 +272,16 @@ def run_history(
     """Run one network history and return the final register state.
 
     Every neuron starts quiescent; ``phis[k]`` excites ``input_neurons[k]``;
-    the steps then fire in order.  ``ValueError`` unless the counts match
-    and the input neurons are distinct and in range.
+    the steps then fire in order.  ``ValueError`` unless the counts match,
+    each angle tuple is a ``GateParams`` and the input neurons are distinct and in range.
     """
     phis, inputs = list(phis), tuple(input_neurons)
     if len(phis) != len(inputs):
         raise ValueError(f"{len(phis)} angle tuples for {len(inputs)} input neurons; "
                          "counts must match")
+    for phi in phis:
+        if not isinstance(phi, GateParams):
+            raise ValueError(f"expected GateParams, got {type(phi).__name__}")
     idx, amps = _history(net, phis, _neurons(inputs, net.n_neurons, "input neuron"))
     n = net.n_neurons
     if len(idx) == 1 << n:
@@ -343,22 +355,19 @@ class TruthTableReport:
 def _truth_probabilities(net: NetworkSpec, g: BooleanFunction) -> np.ndarray:
     """Probability that the history from |s>|0> ends on |s>|g(s)>, for every input s.
 
-    ``net`` has layers (g.m, g.n), so input s is the basis branch s << g.n.
-    No step moves the bits of an input neuron it does not target, so drives
-    that differ only there stay on disjoint branches and share a row: with t
-    targeted input neurons, 2^t rows of 2^(m-t) drives each (one row for
-    ``boolean_network_for``, one drive per row when every input is
-    targeted).  A batch of k rows of c drives starts on k x c branches, at
-    most ``net._growth`` times as many after the steps; k^2 x c x _growth x
-    _SUPPORT_SHARE <= _BATCH_AMPS then bounds K x S after every step,
-    whichever form the runner picks.
+    ``net`` has layers (g.m, g.n), so input s is the basis branch s << g.n.  No step moves
+    the bits of an input neuron it does not target, so drives that differ only there stay on
+    disjoint branches and share a row: 2^t rows of 2^(m-t) drives for t targeted inputs.  A
+    batch's drives double, filling a row before taking a second, while ``_rows_fit`` takes them.
     """
     m, n = net.layers
     targeted = {q for step in net.steps for q in step.targets if q <= m}
-    fits = max(1, _BATCH_AMPS // (_SUPPORT_SHARE * net._growth))
     free = _branches(set(range(1, m + 1)) - targeted, m + n)
-    width = min(len(free), 1 << (fits.bit_length() - 1))
-    rows = max(1, math.isqrt(fits // width))
+    drives = 1
+    while drives < 2**m and _rows_fit(net, 2 * drives) >= max(1, 2 * drives // len(free)):
+        drives *= 2
+    width = min(drives, len(free))
+    rows = drives // width
     starts = (_branches(targeted, m + n)[:, None] | free).reshape(-1, width)
     expected = starts | np.asarray(g.outputs)[starts >> n]
     probs = np.empty(2**m)

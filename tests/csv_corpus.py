@@ -12,7 +12,7 @@ source trees gives two corpora that ``diff -r`` compares::
     PYTHONPATH=src python tests/csv_corpus.py /tmp/change
     diff -r /tmp/base /tmp/change
 
-The corpus holds 102 CSVs:
+The corpus holds 104 CSVs:
 
 * the seven scenarios for seeds 0-4, each with one ``--phi`` and
   ``--t 0,0.5,3.7``;
@@ -25,7 +25,11 @@ The corpus holds 102 CSVs:
 * ``average`` over many modes at many times: four 300-mode packets
   (truncation 4) on a (4, 3, 3) net at 100 times, and one 2,000-mode packet
   (truncation 3) on a (1, 1) net at 1,000 times, whose 11,988 pairs pass
-  2^22 pair-terms at that many times.
+  2^22 pair-terms at that many times;
+* two calls whose runner calls the amplitude budget splits: ``average``
+  with two 6-mode packets on a (2, 1, 1) net at 8,192 times, where the runner
+  goes dense at its Hadamard, and ``verify`` of a random m=16 table,
+  whose 2^16 drives share one row.
 
 Next to them, ``demos/`` holds one transcript per script in the ``demos``
 directory beside this file's own directory: its stdout, byte for byte.  To
@@ -66,7 +70,8 @@ BENCH_OPS = 6
 FULL_LAYERS = ((2, 3), (3, 5, 5))
 NMAX_PACKETS = 16  # modes per packet from the bench's generator, at truncation 2, for ``--nmax 1``
 #: (net layers, packets, modes per packet, truncation, times) of the many-times ``average`` calls.
-MANY_TIMES = (((4, 3, 3), 4, 300, 4, 100), ((1, 1), 1, 2000, 3, 1000))
+MANY_TIMES = (((4, 3, 3), 4, 300, 4, 100), ((1, 1), 1, 2000, 3, 1000), ((2, 1, 1), 2, 6, 2, 8192))
+WIDE_VERIFY = (16, 2)  # (m, n) of the ``verify`` call whose drives the budget splits
 
 MIRROR = ("layers = [1, 1]\n[step]\nkind = boolean\ncontrols = [1]\ntargets = [2]\n"
           "table = 0 -> 0, 1 -> 1\n")
@@ -139,6 +144,7 @@ BAD_FLAGS = {
     "phi-bad-token": ["scenario", "table2", "--phi", "0,0,0,pipi"],
     "phi-empty-token": ["scenario", "table2", "--phi", "0,,0,0"],
     "phi3-outside": ["scenario", "table2", "--phi", "0,0,0,7"],
+    "phi-past-the-wrap-bound": ["run", "--net", "ERRORS/mirror.net", "--phi", "1e20,0,0,1"],
     "phi-twice": ["scenario", "table1", "--phi", "0,0,0,0", "--phi", "0,0,0,0"],
     "phi-count": ["run", "--net", "ERRORS/mirror.net"],
     "t-bad-list": ["scenario", "averaged-dynamics", "--t", "a,b"],
@@ -227,6 +233,14 @@ def write_corpus(root: Path) -> list[str]:
             packets += ["--packet", packet]
         t = ",".join(repr(0.05 * k) for k in range(times))
         call(["average", "--net", net, *packets, f"--t={t}", "--out", root / "times" / f"average-{name}.csv"])
+
+    (m, n), d = WIDE_VERIFY, root / "verify"
+    d.mkdir()
+    table = workloads._table(np.random.default_rng(m), m, n)
+    (d / f"m{m}.net").write_text(f"layers = [{m}, {n}]\n"
+                                 + workloads._boolean_step(range(1, m + 1), range(m + 1, m + n + 1), table))
+    (d / f"m{m}.fn").write_text("".join(f"{s:0{m}b} -> {v:0{n}b}\n" for s, v in enumerate(table)))
+    call(["verify", "--net", d / f"m{m}.net", "--fn", d / f"m{m}.fn", "--out", d / f"verify-m{m}.csv"])
 
     (root / "demos").mkdir()
     env = dict(os.environ, PYTHONPATH=str(Path(qfnn.__file__).resolve().parents[1]))

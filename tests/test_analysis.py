@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -259,11 +260,13 @@ def xor_report_one_by_one(rows, seed):
 class TestBatchedXor:
     @pytest.mark.parametrize("seed", [0, 3, 42])
     def test_batch_is_byte_equal_to_the_per_sample_loop(self, seed):
-        """1..200 samples cross the runner's switch from the full form to the support at 64 rows."""
+        """1..200 samples, on the support form the runner keeps and forced into the full form."""
         rows = xor_deviations_one_by_one(200, seed)
-        for samples in range(1, 201):
-            got = xor_reflexivity_check(samples=samples, seed=seed).to_csv()
-            assert got == xor_report_one_by_one(rows[:samples], seed).to_csv(), samples
+        for rule in (network._full_form_pays, lambda *a: True):
+            with mock.patch.object(network, "_full_form_pays", rule):
+                for samples in range(1, 201):
+                    got = xor_reflexivity_check(samples=samples, seed=seed).to_csv()
+                    assert got == xor_report_one_by_one(rows[:samples], seed).to_csv(), samples
 
     def test_one_runner_call_and_no_history(self, monkeypatch):
         calls = []
@@ -296,10 +299,10 @@ class TestBatchedXor:
 
 def test_truth_table_scenarios_drive_exact_basis_branches(monkeypatch):
     def forbidden(*args, **kwargs):
-        raise AssertionError("u2_from_params called")
+        raise AssertionError("gate formula called")
 
-    monkeypatch.setattr(gates, "u2_from_params", forbidden)
-    monkeypatch.setattr(network, "u2_from_params", forbidden)
+    for module in (gates, network, analysis):
+        monkeypatch.setattr(module, "_u2_stack", forbidden)
     assert boolean_mn_check(seed=2, samples=5).passed
     assert table1_check().passed
 

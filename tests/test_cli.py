@@ -127,6 +127,15 @@ class TestAngleParsing:
         assert main(["scenario", "table2", "--phi", phi]) == 2
         assert capsys.readouterr() == ("", f"error: digit-group underscore in number {token!r}\n")
 
+    @pytest.mark.parametrize("command", [["scenario", "table2"], ["run", "--net", "mirror.net"]])
+    def test_an_angle_past_the_wrap_bound_is_one_error_line(self, command, tmp_path, monkeypatch, capsys):
+        """Wrapping 1e20 by the rounded 2pi would leave an arbitrary phase."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "mirror.net").write_text("layers = [1, 1]\n")
+        assert main(command + ["--phi", "1e20,0,0,1"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: phi0=1e+20 is past |phi0| <= 2^14 rad, where the wrap into [0, 2pi] keeps 1e-12 rad\n")
+
     @pytest.mark.parametrize("argv", [["scenario", "xor", "--seed", "1_0"],
                                       ["scenario", "xor", "--samples", "1_0"],
                                       ["average", "--net", "x.net", "--nmax", "1_0"]])

@@ -165,8 +165,8 @@ def test_sliced_truth_table_drives_match_one_batch(monkeypatch):
     whole = verify_truth_table(net, g)
     # No step targets an input, so all 16 drives share one row.
     assert batches == [(1, 16)]
-    # A row holds c drives while c x 4 fits: 16, 4 and 1 drives per batch.
-    for budget, drives in ((64, 16), (16, 4), (1, 1)):
+    # A row holds c drives while c fits, no step taking 16 of 128 branches dense: 16, 8 and 1.
+    for budget, drives in ((64, 16), (8, 8), (1, 1)):
         del batches[:]
         monkeypatch.setattr(network, "_BATCH_AMPS", budget)
         np.testing.assert_array_equal(verify_truth_table(net, g).probabilities, whole.probabilities)

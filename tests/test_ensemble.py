@@ -347,9 +347,8 @@ def assert_equal_to_one_call_per_time(net, packets, times, ensembles):
 def test_one_pass_equals_one_call_per_time(case, times, group):
     """Default budget: one runner call for every time; else forced groups of ``group`` times."""
     net, packets, _ = case
-    m, n = len(packets), net.n_neurons
-    rotated = sum(len(step.targets) for step in net.steps if isinstance(step, UnitaryStep))
-    budget = environment._ENSEMBLE_AMPS if group is None else group * 2**m * min(2**n, 2**m << rotated)
+    m = len(packets)
+    budget = network._BATCH_AMPS if group is None else group * 2**m * row_bound(net, m)
     calls = []
     runner = network._run_steps
 
@@ -357,7 +356,7 @@ def test_one_pass_equals_one_call_per_time(case, times, group):
         calls.append(len(amps))
         return runner(idx, amps, spec)
 
-    with mock.patch.object(environment, "_ENSEMBLE_AMPS", budget), \
+    with mock.patch.object(network, "_BATCH_AMPS", budget), \
             mock.patch.object(network, "_run_steps", counted):
         ensembles = list(_averaged_ensembles(net, packets, times))
     assert len(calls) == (1 if group is None else -(-len(times) // group))
@@ -365,12 +364,70 @@ def test_one_pass_equals_one_call_per_time(case, times, group):
     assert_equal_to_one_call_per_time(net, packets, times, ensembles)
 
 
+def row_bound(net, m):
+    """Most amplitudes a row on the 2^m input branches reaches: the whole register once the
+    runner can go dense, else 2^m x 2^(unitary targets)."""
+    grown = 2**m << sum(len(step.targets) for step in net.steps if isinstance(step, UnitaryStep))
+    return 2**net.n_neurons if network._SUPPORT_SHARE * grown >= 2**net.n_neurons else grown
+
+
+def group_shapes(net, packets, times, budget):
+    """(K, S) of each runner call of ``_averaged_ensembles`` under ``budget``, after its last step."""
+    shapes, runner = [], network._run_steps
+
+    def counted(idx, amps, spec):
+        idx, amps = runner(idx, amps, spec)
+        shapes.append(amps.shape)
+        return idx, amps
+
+    with mock.patch.object(network, "_BATCH_AMPS", budget), \
+            mock.patch.object(network, "_run_steps", counted):
+        assert len(list(_averaged_ensembles(net, packets, times))) == len(times)
+    return shapes
+
+
+@pytest.mark.parametrize("layers", [(2, 2), (2, 1, 1)])
+def test_groups_count_the_full_form_against_the_budget(layers):
+    """(2, 2): the four input branches go dense at the first step (4 x 4 >= 16); (2, 1, 1):
+    at its Hadamard (8 x 4 >= 16).  Either way a group of times holds 2^16 / 16 rows, not
+    2^16 / 4 or 2^16 / 8 as a bound without the runner's switch to the full form gives."""
+    rng = np.random.default_rng(3)
+    bounds = np.cumsum((0,) + layers)
+    neurons = [tuple(range(bounds[k] + 1, bounds[k + 1] + 1)) for k in range(len(layers))]
+    steps = [BooleanStep(BooleanFunction(a, b, rng.integers(0, 2**b, 2**a)), neurons[k], neurons[k + 1])
+             for k, (a, b) in enumerate(zip(layers, layers[1:]))]
+    if len(layers) > 2:
+        steps.append(UnitaryStep((HADAMARD,), neurons[-1]))
+    net = NetworkSpec(layers, tuple(steps))
+    packets = [random_packet(2, 6, rng) for _ in range(2)]
+    shapes = group_shapes(net, packets, np.linspace(0.0, 5.0, 8192), 2**16)
+    assert shapes == [(4096, 16)] * 8
+
+
+@PROPERTY
+@given(cases(), st.integers(1, 40), st.integers(6, 12))
+def test_every_group_call_stays_under_the_budget(case, count, log_budget):
+    """K x S <= _BATCH_AMPS after the last step, the runner dense or not, whenever one
+    time's 2^m rows fit; else one time per call."""
+    net, packets, _ = case
+    m = len(packets)
+    for k, s in group_shapes(net, packets, np.linspace(0.0, 5.0, count), 2**log_budget):
+        if 2**m * row_bound(net, m) <= 2**log_budget:
+            assert k * s <= 2**log_budget
+        else:
+            assert k <= 2**m
+
+
 @PROPERTY
 @given(cases(), st.lists(st.floats(0.0, 5.0), min_size=8, max_size=12))
 def test_many_times_on_small_nets_equal_one_call_per_time(case, times):
-    """Eight or more times stack enough rows to leave the small-register full form."""
+    """Eight or more times in one runner call, on the form the runner picks and forced into
+    the full form, against each time alone on the form the runner picks."""
     net, packets, _ = case
-    assert_equal_to_one_call_per_time(net, packets, times, list(_averaged_ensembles(net, packets, times)))
+    for rule in (network._full_form_pays, lambda *a: True):
+        with mock.patch.object(network, "_full_form_pays", rule):
+            ensembles = list(_averaged_ensembles(net, packets, times))
+        assert_equal_to_one_call_per_time(net, packets, times, ensembles)
 
 
 def test_stacked_times_leave_the_full_form_bit_for_bit():

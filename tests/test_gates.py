@@ -1,5 +1,8 @@
 """Unit tests for the four-angle gate family and single-neuron steps."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,7 @@ from qfnn import (
     psi_amplitudes,
     u2_from_params,
 )
+from qfnn import analysis
 from qfnn.network import _run_steps
 from qfnn.qstate import StateVector
 
@@ -54,6 +58,16 @@ class TestGateParams:
     def test_phases_a_hair_below_zero_wrap_continuously(self):
         p = GateParams(-1e-17, -1e-17, -1e-17, 0.0)
         np.testing.assert_allclose(u2_from_params(p), IDENTITY, atol=1e-15)
+
+    @pytest.mark.parametrize("name", ["phi0", "phi1", "phi2"])
+    def test_wraps_up_to_the_angle_bound_and_refuses_past_it(self, name):
+        """Past 2^14 rad the wrap by the rounded 2pi loses more than 1e-12 rad."""
+        angles = dict(phi0=0.0, phi1=0.0, phi2=0.0, phi3=0.0)
+        for inside in (2.0**14, -(2.0**14)):
+            assert getattr(GateParams(**{**angles, name: inside}), name) == inside % TWO_PI
+        for outside in (math.nextafter(2.0**14, math.inf), -1e308):
+            with pytest.raises(ValueError, match=re.escape(f"{name}={outside!r} is past |{name}| <= 2^14 rad")):
+                GateParams(**{**angles, name: outside})
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
@@ -109,6 +123,24 @@ class TestPsiAmplitudes:
             phi = random_params(rng)
             u = u2_from_params(phi)
             np.testing.assert_allclose(psi_amplitudes(phi), u[:, 0], atol=1e-15)
+
+    def test_one_formula_gives_every_column_bit_for_bit(self, monkeypatch):
+        """``u2_from_params``, ``psi_amplitudes`` and the ``xor`` scenario's columns, on the
+        same angles; 20,000 samples pass the size from which numpy reuses temporaries."""
+        columns = []
+
+        def spy(net, cols, inputs, *args):
+            columns.append(cols[:, 0])
+            return evolve(net, cols, inputs, *args)
+
+        evolve = analysis._evolve
+        monkeypatch.setattr(analysis, "_evolve", spy)
+        assert analysis.xor_reflexivity_check(samples=20_000, seed=5).passed
+        angles = np.random.default_rng(5).uniform(0.0, TWO_PI, (20_000, 4))
+        for row, column in zip(angles, columns[0]):
+            phi = GateParams(*row)
+            assert u2_from_params(phi)[:, 0].tobytes() == column.tobytes()
+            assert np.array(psi_amplitudes(phi)).tobytes() == column.tobytes()
 
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(23)

@@ -301,9 +301,17 @@ def split_row_case():
     return NetworkSpec((7, 4), steps), g
 
 
+def whole_register_case():
+    """(6, 4) with a Hadamard on every neuron: 4 x 2^10 passes 2^11, yet no row passes 2^10."""
+    g = BooleanFunction(6, 4, np.random.default_rng(11).integers(0, 16, 2**6))
+    steps = boolean_network_for(g).steps + (UnitaryStep((HADAMARD,) * 10, range(1, 11)),)
+    return NetworkSpec((6, 4), steps), g
+
+
 @settings(max_examples=25)
 @given(truth_nets(max_m=8, max_n=4), st.integers(10, 14))
 @example(split_row_case(), 10)
+@example(whole_register_case(), 11)
 def test_every_truth_table_batch_stays_under_its_amplitude_budget(case, log_budget):
     """K x S <= _BATCH_AMPS after the last step, whenever one drive can fit at all.
 
@@ -323,7 +331,9 @@ def test_every_truth_table_batch_stays_under_its_amplitude_budget(case, log_budg
     assert np.array_equal(np.sort(drives), np.arange(2 ** net.layers[0]))
     for (k, s), rows in batches:
         assert all(len(set((row & targeted).tolist())) == 1 for row in rows)
-        if network._SUPPORT_SHARE << rotated <= 2**log_budget:
+        # A drive reaches 2^rotated branches, or the whole register once the runner can go dense.
+        full = network._SUPPORT_SHARE << rotated >= 2**net.n_neurons
+        if (2**net.n_neurons if full else 1 << rotated) <= 2**log_budget:
             assert k * s <= 2**log_budget, (k, s, batches)
         else:
             assert [len(row) for row in rows] == [1]
@@ -332,14 +342,14 @@ def test_every_truth_table_batch_stays_under_its_amplitude_budget(case, log_budg
 def test_wide_tables_run_in_batches_under_the_default_budget():
     """(9, 2) with Hadamards on two inputs and both outputs: 4 rows of 128 drives, one batch.
 
-    With a Hadamard on every input too, each drive is its own row: 2^9
-    drives, 22 at a time.
+    With a Hadamard on every input too, each drive is its own row on up to
+    all 2^11 branches: 2^9 drives, 32 at a time (32 x 2^11 = 2^16).
     """
     rng = np.random.default_rng(12)
     g = BooleanFunction(9, 2, rng.integers(0, 4, 2**9))
     steps = boolean_network_for(g).steps + (UnitaryStep((HADAMARD,) * 4, (3, 7, 10, 11)),)
     every = steps + (UnitaryStep((HADAMARD,) * 7, (1, 2, 4, 5, 6, 8, 9)),)
-    for net_steps, spread, widths in ((steps, 4, [[128] * 4]), (every, 11, [[1] * 22] * 23 + [[1] * 6])):
+    for net_steps, spread, widths in ((steps, 4, [[128] * 4]), (every, 11, [[1] * 32] * 16)):
         net, batches = NetworkSpec((9, 2), net_steps), []
         with mock.patch.object(network, "_run_steps", counting_runner(batches)):
             report = verify_truth_table(net, g)
